@@ -21,6 +21,14 @@
 
 namespace st::bench {
 
+// Usage error: exits 2 when the command line, or a numeric flag value read
+// so far (`--users abc`), was rejected — before any expensive work runs.
+inline void exitOnBadFlags(const Flags& flags) {
+  if (flags.ok()) return;
+  std::fprintf(stderr, "flag error: %s\n", flags.error().c_str());
+  std::exit(2);
+}
+
 // Worker count for independent runs: --threads wins, then ST_THREADS, then
 // sequential. Results are independent of this value by construction (runs
 // land in fixed slots); it only changes wall-clock.
@@ -40,6 +48,7 @@ inline trace::Catalog crawlScaleCatalog(const Flags& flags) {
   // subset with the same per-channel shape (override with --videos).
   params.numVideos =
       static_cast<std::size_t>(flags.getInt("videos", 20'000));
+  exitOnBadFlags(flags);
   return trace::generateTrace(params);
 }
 
@@ -48,7 +57,8 @@ inline trace::Catalog crawlScaleCatalog(const Flags& flags) {
 // --overload SPEC enables the overload-control knobs, and --shards N runs
 // on the community-sharded engine. A malformed spec prints the offending
 // token and the full grammar on stderr and exits 2, exactly like
-// churn_storm and the runner — no partial catalog generation first.
+// churn_storm and the runner — no partial catalog generation first. So does
+// any numeric flag read so far whose value did not parse.
 inline void applyRobustnessFlags(const Flags& flags,
                                  exp::ExperimentConfig& config) {
   if (const std::string faultSpec = flags.getString("faults", "");
@@ -63,6 +73,7 @@ inline void applyRobustnessFlags(const Flags& flags,
     config.faults.spec = faultSpec;
   }
   const double auditSeconds = flags.getDouble("audit", 0.0);
+  exitOnBadFlags(flags);
   if (auditSeconds < 0.0) {
     std::fprintf(stderr, "--audit: interval must be >= 0 seconds (got %g)\n",
                  auditSeconds);
@@ -127,14 +138,13 @@ inline exp::ExperimentConfig experimentConfig(const Flags& flags) {
   return config;
 }
 
+// Call after every getter: rejected values (exitOnBadFlags) and unknown
+// flags are usage errors, exit code 2.
 inline int rejectUnknownFlags(const Flags& flags) {
-  if (!flags.ok()) {
-    std::fprintf(stderr, "flag error: %s\n", flags.error().c_str());
-    return 1;
-  }
+  exitOnBadFlags(flags);
   for (const auto& name : flags.unconsumed()) {
     std::fprintf(stderr, "unknown flag: --%s\n", name.c_str());
-    return 1;
+    return 2;
   }
   return 0;
 }

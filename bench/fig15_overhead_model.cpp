@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   const double ut = flags.getDouble("users-per-interest", 25'000.0);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
+    return 2;
   }
 
   const auto series =

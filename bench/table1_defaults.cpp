@@ -8,7 +8,7 @@ int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
+    return 2;
   }
   const auto config = st::exp::ExperimentConfig::simulationDefaults();
   const auto planetlab = st::exp::ExperimentConfig::planetLabDefaults();

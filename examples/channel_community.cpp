@@ -19,11 +19,11 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
+  const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
+    return 2;
   }
-  const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
 
   // 1. A small catalog.
   st::trace::GeneratorParams traceParams;

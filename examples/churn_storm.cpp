@@ -49,10 +49,6 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 3));
   const auto users = static_cast<std::size_t>(flags.getInt("users", 800));
   const double abrupt = flags.getDouble("abrupt", 0.8);
@@ -65,6 +61,10 @@ int main(int argc, char** argv) {
   const std::string snapshotOut = flags.getString("snapshot-out", "");
   const std::string snapshotIn = flags.getString("snapshot-in", "");
   const double snapshotAt = flags.getDouble("snapshot-at", 0.0);
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    return 2;
+  }
 
   // Validate every spec up front so a typo fails before minutes of
   // simulation (the runner would abort mid-run otherwise). Exit code 2

@@ -34,10 +34,6 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 7));
   const auto users = static_cast<std::size_t>(flags.getInt("users", 400));
   const std::size_t threads =
@@ -51,6 +47,10 @@ int main(int argc, char** argv) {
   const std::string faultSpec = flags.getString(
       "faults", "partition:t=28800,dur=3600,cat=0;crash:t=30000,frac=0.15");
   const std::string overloadSpec = flags.getString("overload", "on");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    return 2;
+  }
 
   {
     st::fault::Schedule parsed;

@@ -32,10 +32,6 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
-  }
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   const auto sessions =
       static_cast<std::size_t>(flags.getInt("sessions", 10));
@@ -44,6 +40,7 @@ int main(int argc, char** argv) {
   const std::string snapshotOut = flags.getString("snapshot-out", "");
   const std::string snapshotIn = flags.getString("snapshot-in", "");
   const double snapshotAt = flags.getDouble("snapshot-at", 0.0);
+  st::bench::exitOnBadFlags(flags);
   if (snapshotAt < 0.0) {
     std::fprintf(stderr, "--snapshot-at must be >= 0 seconds\n");
     return 1;

@@ -12,11 +12,6 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
-  }
-
   const bool planetlab = flags.getBool("planetlab", false);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
   st::exp::ExperimentConfig config =
@@ -26,6 +21,10 @@ int main(int argc, char** argv) {
       flags.getInt("users", planetlab ? 250 : 1500));
   const auto sessions =
       static_cast<std::size_t>(flags.getInt("sessions", 8));
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    return 2;
+  }
   config = config.scaledTo(users, sessions);
 
   std::printf("SocialTube quickstart — %zu users, %zu channels, %zu videos, "

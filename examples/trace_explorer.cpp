@@ -14,10 +14,6 @@
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 1;
-  }
   st::trace::GeneratorParams params;
   params.numUsers = 2'031;  // the paper's crawl size
   params.numChannels = 545;
@@ -29,6 +25,10 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.getInt("max-crawl", 0));
   const std::string savePath = flags.getString("save", "");
   const std::string loadPath = flags.getString("load", "");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.error().c_str());
+    return 2;
+  }
 
   st::trace::Catalog catalog;
   if (!loadPath.empty()) {

@@ -9,37 +9,20 @@ namespace {
 bool contains(const std::vector<UserId>& list, UserId value) {
   return std::find(list.begin(), list.end(), value) != list.end();
 }
-
-std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
-  return static_cast<std::uint64_t>(lo) | (static_cast<std::uint64_t>(hi) << 32);
-}
-
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-std::uint32_t hi32(std::uint64_t v) {
-  return static_cast<std::uint32_t>(v >> 32);
-}
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-
-std::vector<std::uint32_t> fromUsers(const std::vector<UserId>& users) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(users.size());
-  for (const UserId user : users) raw.push_back(user.value());
-  return raw;
-}
 }  // namespace
+
+using vod::fromUsers;
+using vod::hi32;
+using vod::lo32;
+using vod::pack;
+using vod::toUsers;
 
 NetTubeSystem::NetTubeSystem(vod::SystemContext& ctx,
                              vod::TransferManager& transfers)
     : ctx_(ctx),
       transfers_(transfers),
-      queryDedup_(ctx.catalog().userCount()),
-      activeSearch_(ctx.catalog().userCount(), 0) {
+      searches_(ctx.sim(), ctx.catalog().userCount()),
+      downloads_(ctx, transfers, sim::Component::kNetTube, kServerWatch) {
   overlays_.resize(ctx.catalog().userCount());
   probeTimer_.resize(ctx.catalog().userCount());
   cache_.reserve(ctx.catalog().userCount());
@@ -97,7 +80,8 @@ sim::Callback NetTubeSystem::rebuild(const sim::EventTag& tag) {
       // offline receiver still frees it (wrapStage would silently drop).
       return [this, tag] { applyDirectoryReply(tag); };
     case kServerWatch:
-      return ctx_.wrapStage(tag, [this, tag] { serverWatch(tag); });
+      return ctx_.wrapStage(tag,
+                            [this, tag] { downloads_.serverWatch(tag); });
     case kCachedAtServer:
       return ctx_.wrapStage(tag, [this, tag] { cachedAtServer(tag); });
     case kCachedReply:
@@ -133,7 +117,7 @@ void NetTubeSystem::onRestored(const sim::EventTag& tag,
       probeTimer_[UserId{lo32(tag.a)}.index()] = handle;
       break;
     case kAskDirectory: {
-      Search* search = searches_.find(tag.a);
+      vod::SearchRecord* search = searches_.find(tag.a);
       assert(search != nullptr && "deadline for a search not in the pool");
       search->deadline = handle;
       break;
@@ -174,20 +158,6 @@ std::vector<UserId> NetTubeSystem::allNeighbors(
   return result;
 }
 
-bool NetTubeSystem::seenQuery(UserId at, std::uint64_t queryId) {
-  return queryDedup_.checkAndMark(at.index(), queryId);
-}
-
-void NetTubeSystem::abandonSearch(UserId user) {
-  const std::uint64_t queryId = activeSearch_[user.index()];
-  if (queryId == 0) return;
-  if (Search* search = searches_.find(queryId)) {
-    ctx_.sim().cancel(search->deadline);
-    searches_.erase(queryId);
-  }
-  activeSearch_[user.index()] = 0;
-}
-
 void NetTubeSystem::connectOverlayLink(UserId a, UserId b, VideoId video) {
   if (a == b) return;
   // Look up before inserting: a refused connect must not leave an empty
@@ -219,40 +189,37 @@ void NetTubeSystem::onLogin(UserId user) {
   overlays_[user.index()].clear();
   // Report the cached inventory so the server can direct other nodes here
   // ("users need to report the changes of videos they watch", §IV-A).
-  const vod::VideoCache& cache = cache_[user.index()];
-  if (!cache.videoList().empty()) {
-    vod::SystemContext::Payload payload;
-    for (const VideoId video : cache.videoList()) {
-      payload.u.push_back(video.value());
-    }
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
-                                   user.value(), payloadId));
-  }
+  announceInventory(user);
   probeTimer_[user.index()] = ctx_.sim().schedulePeriodicTagged(
       ctx_.config().probeInterval,
       sim::makeTag(sim::Component::kNetTube, kProbeEvent, user.value()));
 }
 
+void NetTubeSystem::announceInventory(UserId user) {
+  const vod::VideoCache& cache = cache_[user.index()];
+  if (cache.videoList().empty()) return;
+  vod::SystemContext::Payload payload;
+  for (const VideoId video : cache.videoList()) {
+    payload.u.push_back(video.value());
+  }
+  const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
+  ctx_.sendToServer(user,
+                    sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
+                                 user.value(), payloadId));
+}
+
 void NetTubeSystem::inventoryAtServer(const sim::EventTag& tag) {
   const UserId user{lo32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  for (const std::uint32_t raw : payload.u) directory_.add(user, VideoId{raw});
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  for (const std::uint32_t raw : payload->u) directory_.add(user, VideoId{raw});
 }
 
 void NetTubeSystem::onLogout(UserId user, bool graceful) {
   ctx_.sim().cancel(probeTimer_[user.index()]);
   probeTimer_[user.index()] = sim::EventHandle{};
 
-  abandonSearch(user);
+  searches_.abandon(user);
 
   if (graceful) {
     for (const UserId n : allNeighbors(overlays_[user.index()])) {
@@ -290,15 +257,13 @@ void NetTubeSystem::requestVideo(UserId user, VideoId video) {
 void NetTubeSystem::beginSearch(UserId user, VideoId video, bool prefetchHit,
                                 sim::SimTime requestTime) {
   if (!ctx_.isOnline(user)) return;
-  abandonSearch(user);
 
-  Search search;
+  vod::SearchRecord search;
   search.user = user;
   search.video = video;
   search.prefetchHit = prefetchHit;
   search.requestTime = requestTime;
-  const std::uint64_t queryId = searches_.insert(search);
-  activeSearch_[user.index()] = queryId;
+  const std::uint64_t queryId = searches_.begin(search);
 
   std::vector<UserId> neighbors = allNeighbors(overlays_[user.index()]);
   if (neighbors.empty()) {
@@ -328,7 +293,7 @@ void NetTubeSystem::beginSearch(UserId user, VideoId video, bool prefetchHit,
 
 void NetTubeSystem::floodQuery(UserId origin, UserId at, VideoId video,
                                std::uint64_t queryId, int ttl) {
-  if (seenQuery(at, queryId)) return;
+  if (searches_.seen(at, queryId)) return;
   if (cache_[at.index()].contains(video)) {
     ctx_.sendUser(at, origin,
                   sim::makeTag(sim::Component::kNetTube, kSearchHit, queryId,
@@ -352,7 +317,7 @@ void NetTubeSystem::floodQuery(UserId origin, UserId at, VideoId video,
 }
 
 void NetTubeSystem::onSearchHit(std::uint64_t queryId, UserId provider) {
-  const Search* found = searches_.find(queryId);
+  const vod::SearchRecord* found = searches_.find(queryId);
   if (found == nullptr) return;
   if (!ctx_.isOnline(provider)) {
     // The responder died between answering and our receipt — suspicious.
@@ -364,9 +329,9 @@ void NetTubeSystem::onSearchHit(std::uint64_t queryId, UserId provider) {
 }
 
 void NetTubeSystem::askServerDirectory(std::uint64_t queryId) {
-  Search* found = searches_.find(queryId);
+  vod::SearchRecord* found = searches_.find(queryId);
   if (found == nullptr) return;
-  Search& search = *found;
+  vod::SearchRecord& search = *found;
   ctx_.sim().cancel(search.deadline);
   search.deadline = sim::EventHandle{};
   const UserId user = search.user;
@@ -413,16 +378,11 @@ void NetTubeSystem::directoryAtServer(const sim::EventTag& tag) {
 void NetTubeSystem::applyDirectoryReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const std::uint64_t queryId = tag.a;
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  const Search* search = searches_.find(queryId);
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  const vod::SearchRecord* search = searches_.find(queryId);
   if (search == nullptr) return;
-  const std::vector<UserId> candidates = toUsers(payload.u);
+  const std::vector<UserId> candidates = toUsers(payload->u);
   if (candidates.empty()) {
     ctx_.metrics().countServerFallback();
     ST_TRACE(ctx_.trace(), ctx_.sim().now(), kServerFallback,
@@ -437,9 +397,7 @@ void NetTubeSystem::applyDirectoryReply(const sim::EventTag& tag) {
 void NetTubeSystem::resolveSearch(std::uint64_t queryId, UserId provider,
                                   const std::vector<UserId>& overlayPeers) {
   assert(searches_.find(queryId) != nullptr);
-  const Search search = searches_.take(queryId);
-  ctx_.sim().cancel(search.deadline);
-  activeSearch_[search.user.index()] = 0;
+  const vod::SearchRecord search = searches_.take(queryId);
   if (!ctx_.isOnline(search.user)) return;
 
   // Join the video's overlay by linking to the discovered holders.
@@ -452,67 +410,10 @@ void NetTubeSystem::resolveSearch(std::uint64_t queryId, UserId provider,
   if (provider.valid() && !ctx_.isOnline(provider)) {
     provider = UserId::invalid();
   }
-  startDownload(search.user, search.video, provider, search.prefetchHit,
-                search.requestTime);
-}
-
-void NetTubeSystem::startDownload(UserId user, VideoId video, UserId provider,
-                                  bool prefetchHit, sim::SimTime requestTime) {
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = video;
-  request.provider = provider;
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = requestTime;
-  // Swarming (extension): stripe across overlay neighbors holding the video.
-  if (ctx_.config().bodySources > 1) {
-    for (const UserId n : allNeighbors(overlays_[user.index()])) {
-      if (request.extraProviders.size() + 1 >= ctx_.config().bodySources) {
-        break;
-      }
-      if (n == provider) continue;
-      if (!ctx_.neighborAllowed(user, n)) continue;  // breaker open
-      if (ctx_.isOnline(n) && cache_[n.index()].contains(video)) {
-        request.extraProviders.push_back(n);
-      }
-    }
-  }
-  request.reportPlayback = !prefetchHit;
-
-  if (!provider.valid()) {
-    vod::SystemContext::Payload payload;
-    payload.u = fromUsers(request.extraProviders);
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kServerWatch,
-                                   user.value(),
-                                   pack(video.value(), prefetchHit ? 1 : 0),
-                                   payloadId,
-                                   static_cast<std::uint64_t>(requestTime)));
-    return;
-  }
-  transfers_.startWatch(std::move(request));
-}
-
-void NetTubeSystem::serverWatch(const sim::EventTag& tag) {
-  const UserId user{lo32(tag.a)};
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.c)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.c);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.c);
-  const bool prefetchHit = hi32(tag.b) != 0;
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = VideoId{lo32(tag.b)};
-  request.provider = UserId::invalid();
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = static_cast<sim::SimTime>(tag.d);
-  request.extraProviders = toUsers(payload.u);
-  request.reportPlayback = !prefetchHit;
-  transfers_.startWatch(std::move(request));
+  // Swarming stripes come from the overlay neighbors holding the video.
+  downloads_.start(search, provider, cache_, [&] {
+    return allNeighbors(overlays_[search.user.index()]);
+  });
 }
 
 void NetTubeSystem::watchPlaybackReady(UserId user, VideoId video,
@@ -562,14 +463,9 @@ void NetTubeSystem::cachedAtServer(const sim::EventTag& tag) {
 void NetTubeSystem::applyCachedReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const VideoId video{lo32(tag.a)};
-  // Duplicated delivery; see inventoryAtServer.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  for (const UserId member : toUsers(payload.u)) {
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  for (const UserId member : toUsers(payload->u)) {
     if (!ctx_.neighborAllowed(user, member)) continue;
     if (ctx_.isOnline(member)) {
       connectOverlayLink(user, member, video);
@@ -608,17 +504,7 @@ void NetTubeSystem::reconcile(UserId user) {
   // server no longer lists this node as a provider for anything it holds.
   // Re-send the full cached inventory (directory adds are idempotent, so a
   // rejoin racing the login-time report is harmless).
-  const vod::VideoCache& cache = cache_[user.index()];
-  if (!cache.videoList().empty()) {
-    vod::SystemContext::Payload payload;
-    for (const VideoId video : cache.videoList()) {
-      payload.u.push_back(video.value());
-    }
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(user,
-                      sim::makeTag(sim::Component::kNetTube, kInventoryAtServer,
-                                   user.value(), payloadId));
-  }
+  announceInventory(user);
   // Overlay-link audit: one immediate probe sweep drops links whose far end
   // died or dropped us while this node was dark, without waiting out the
   // periodic probe interval.
@@ -740,23 +626,13 @@ void NetTubeSystem::saveState(snapshot::Writer& w) const {
     }
     cache_[i].saveState(w);
   }
-  w.u64(searches_.slotCount());
-  searches_.visitSlots([&w](std::uint32_t, bool live, std::uint32_t gen,
-                            std::uint32_t nextFree, const Search& search) {
-    w.boolean(live);
-    w.u32(gen);
-    w.u32(nextFree);
-    if (!live) return;
-    w.u32(search.user.value());
-    w.u32(search.video.value());
-    w.boolean(search.prefetchHit);
-    w.i64(search.requestTime);
-  });
-  w.u32(searches_.freeHead());
-  w.u64(queryDedup_.marks().size());
-  for (const std::uint64_t mark : queryDedup_.marks()) w.u64(mark);
-  w.u64(activeSearch_.size());
-  for (const std::uint64_t id : activeSearch_) w.u64(id);
+  searches_.saveState(
+      w, [](snapshot::Writer& out, const vod::SearchRecord& search) {
+        out.u32(search.user.value());
+        out.u32(search.video.value());
+        out.boolean(search.prefetchHit);
+        out.i64(search.requestTime);
+      });
 }
 
 bool NetTubeSystem::loadState(snapshot::Reader& r) {
@@ -792,44 +668,14 @@ bool NetTubeSystem::loadState(snapshot::Reader& r) {
     probeTimer_[node] = sim::EventHandle{};
     if (!r.ok()) return false;
   }
-  const std::size_t slots = r.count(1 + 4 + 4);
-  searches_.beginRestore();
-  for (std::size_t i = 0; i < slots; ++i) {
-    const bool live = r.boolean();
-    const std::uint32_t gen = r.u32();
-    const std::uint32_t nextFree = r.u32();
-    Search search;
-    if (live) {
-      search.user = UserId{r.u32()};
-      search.video = VideoId{r.u32()};
-      search.prefetchHit = r.boolean();
-      search.requestTime = r.i64();
-      if (r.ok() && search.user.index() >= overlays_.size()) {
-        r.fail("NetTube search user out of range");
-        return false;
-      }
-    }
-    if (!r.ok()) return false;
-    searches_.restoreSlot(live, gen, nextFree, std::move(search));
-  }
-  const std::uint32_t freeHead = r.u32();
-  if (!r.ok() || !searches_.finishRestore(freeHead)) {
-    r.fail("NetTube search pool free list corrupt");
-    return false;
-  }
-  std::vector<std::uint64_t> marks(r.count(8));
-  for (std::uint64_t& mark : marks) mark = r.u64();
-  if (!r.ok() || !queryDedup_.restoreMarks(std::move(marks))) {
-    r.fail("NetTube dedup mark count mismatch");
-    return false;
-  }
-  const std::size_t activeCount = r.count(8);
-  if (!r.ok() || activeCount != activeSearch_.size()) {
-    r.fail("NetTube active-search count mismatch");
-    return false;
-  }
-  for (std::uint64_t& id : activeSearch_) id = r.u64();
-  return r.ok();
+  return searches_.loadState(r, "NetTube", [](snapshot::Reader& in) {
+    vod::SearchRecord search;
+    search.user = UserId{in.u32()};
+    search.video = VideoId{in.u32()};
+    search.prefetchHit = in.boolean();
+    search.requestTime = in.i64();
+    return search;
+  });
 }
 
 }  // namespace st::baselines

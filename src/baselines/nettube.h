@@ -16,9 +16,8 @@
 #include <vector>
 
 #include "baselines/video_directory.h"
-#include "util/slot_pool.h"
 #include "vod/context.h"
-#include "vod/query_dedup.h"
+#include "vod/search.h"
 #include "vod/system.h"
 #include "vod/transfer.h"
 #include "vod/video_cache.h"
@@ -95,19 +94,8 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   // order must be a function of the keys, not of hashing.
   using Overlays = std::map<VideoId, std::vector<UserId>>;
 
-  struct Search {
-    UserId user;
-    VideoId video;
-    bool prefetchHit = false;
-    sim::SimTime requestTime = 0;
-    sim::EventHandle deadline;
-  };
-
   // Distinct neighbors across all of the node's overlays.
   [[nodiscard]] std::vector<UserId> allNeighbors(const Overlays& overlays) const;
-  [[nodiscard]] bool seenQuery(UserId at, std::uint64_t queryId);
-  // Abandons the user's in-flight search, if any (logout, new request).
-  void abandonSearch(UserId user);
 
   void connectOverlayLink(UserId a, UserId b, VideoId video);
   void dropAllLinks(UserId holder, UserId gone);
@@ -118,17 +106,18 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
                   std::uint64_t queryId, int ttl);
   void onSearchHit(std::uint64_t queryId, UserId provider);
   void askServerDirectory(std::uint64_t queryId);
+  // Reports the user's cached videos to the server directory.
+  void announceInventory(UserId user);
   // Tag-rebuilt message bodies (see the kind list above).
   void inventoryAtServer(const sim::EventTag& tag);
   void directoryAtServer(const sim::EventTag& tag);
   void applyDirectoryReply(const sim::EventTag& tag);
-  void serverWatch(const sim::EventTag& tag);
   void cachedAtServer(const sim::EventTag& tag);
   void applyCachedReply(const sim::EventTag& tag);
+  // Closes the search, joins the video's overlay via `overlayPeers`, and
+  // starts the watch from `provider` (invalid: the origin server).
   void resolveSearch(std::uint64_t queryId, UserId provider,
                      const std::vector<UserId>& overlayPeers);
-  void startDownload(UserId user, VideoId video, UserId provider,
-                     bool prefetchHit, sim::SimTime requestTime);
   void onVideoCached(UserId user, VideoId video);
 
   void prefetchFromNeighbors(UserId user);
@@ -143,13 +132,8 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   std::vector<Overlays> overlays_;
   std::vector<vod::VideoCache> cache_;
   std::vector<sim::EventHandle> probeTimer_;
-  // Pooled search records; the pool id doubles as the flood query id (never
-  // reused, so it is a valid generation stamp for the dedup array).
-  SlotPool<Search> searches_;
-  // Per-node flood dedup stamps (one uint64 per node, no allocation).
-  vod::QueryDedup queryDedup_;
-  // Indexed by user: the user's in-flight search id, 0 if none.
-  std::vector<std::uint64_t> activeSearch_;
+  vod::SearchBook<vod::SearchRecord> searches_;
+  vod::DownloadDriver downloads_;
 };
 
 }  // namespace st::baselines

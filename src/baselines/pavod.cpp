@@ -4,16 +4,8 @@
 
 namespace st::baselines {
 
-namespace {
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-}  // namespace
+using vod::lo32;
+using vod::toUsers;
 
 PaVodSystem::PaVodSystem(vod::SystemContext& ctx,
                          vod::TransferManager& transfers)
@@ -122,21 +114,15 @@ void PaVodSystem::watchersAtServer(const sim::EventTag& tag) {
 void PaVodSystem::applyWatchersReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const VideoId video{lo32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
   if (current_[user.index()] != video) return;  // stale reply
   UserId source{lo32(tag.c)};
   if (source.valid() && !ctx_.isOnline(source)) {
     source = UserId::invalid();
   }
   if (source.valid()) ctx_.metrics().countChannelHit();
-  startDownload(user, video, source, toUsers(payload.u),
+  startDownload(user, video, source, toUsers(payload->u),
                 static_cast<sim::SimTime>(tag.d));
 }
 
@@ -156,12 +142,8 @@ void PaVodSystem::startDownload(UserId user, VideoId video, UserId provider,
     request.extraProviders = std::move(extraProviders);
   }
   request.requestTime = requestTime;
-
-  if (!provider.valid()) {
-    // The request is already at the server; it starts serving directly.
-    transfers_.startWatch(std::move(request));
-    return;
-  }
+  // The watcher lookup already went through the server, so the watch starts
+  // directly whether a peer or the server provides it.
   transfers_.startWatch(std::move(request));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace st::core {
 
@@ -16,30 +17,13 @@ void removeFrom(LinkList list, UserId value) {
 bool contains(std::span<const UserId> list, UserId value) {
   return std::find(list.begin(), list.end(), value) != list.end();
 }
-
-std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
-  return static_cast<std::uint64_t>(lo) |
-         (static_cast<std::uint64_t>(hi) << 32);
-}
-std::uint32_t lo32(std::uint64_t v) { return static_cast<std::uint32_t>(v); }
-std::uint32_t hi32(std::uint64_t v) {
-  return static_cast<std::uint32_t>(v >> 32);
-}
-
-std::vector<UserId> toUsers(const std::vector<std::uint32_t>& raw) {
-  std::vector<UserId> users;
-  users.reserve(raw.size());
-  for (const std::uint32_t value : raw) users.push_back(UserId{value});
-  return users;
-}
-
-std::vector<std::uint32_t> fromUsers(std::span<const UserId> users) {
-  std::vector<std::uint32_t> raw;
-  raw.reserve(users.size());
-  for (const UserId user : users) raw.push_back(user.value());
-  return raw;
-}
 }  // namespace
+
+using vod::fromUsers;
+using vod::hi32;
+using vod::lo32;
+using vod::pack;
+using vod::toUsers;
 
 void SocialTubeSystem::NodeStore::init(std::size_t nodes,
                                        std::uint32_t innerCap,
@@ -104,8 +88,8 @@ SocialTubeSystem::SocialTubeSystem(vod::SystemContext& ctx,
                                    vod::TransferManager& transfers)
     : ctx_(ctx),
       transfers_(transfers),
-      queryDedup_(ctx.catalog().userCount()),
-      activeSearch_(ctx.catalog().userCount(), 0) {
+      searches_(ctx.sim(), ctx.catalog().userCount()),
+      downloads_(ctx, transfers, sim::Component::kSocialTube, kServerWatch) {
   store_.init(
       ctx.catalog().userCount(),
       static_cast<std::uint32_t>(ctx.config().innerLinks * 2) + kLinkSlack,
@@ -169,15 +153,15 @@ sim::Callback SocialTubeSystem::rebuild(const sim::EventTag& tag) {
       return [this, queryId] { retrySearch(queryId); };
     }
     case kServerWatch:
-      return ctx_.wrapStage(tag, [this, tag] { serverWatch(tag); });
+      return ctx_.wrapStage(tag,
+                            [this, tag] { downloads_.serverWatch(tag); });
     case kGossipAtHelper:
       return ctx_.wrapStage(tag, [this, tag] { gossipAtHelper(tag); });
-    case kGossipReply:
-      return [this, tag] { applyGossipReply(tag); };  // payload, see kJoinReply
     case kRepairAtServer:
       return ctx_.wrapStage(tag, [this, tag] { repairAtServer(tag); });
-    case kRepairReply:
-      return [this, tag] { applyRepairReply(tag); };  // payload, see kJoinReply
+    case kGossipReply:
+    case kRepairReply:  // payload, see kJoinReply
+      return [this, tag] { applyNeighborLists(tag); };
     default:
       assert(false && "unknown SocialTube event kind");
       return [] {};
@@ -226,20 +210,6 @@ vod::VodSystem::NodeStats SocialTubeSystem::nodeStats(UserId user) const {
   return {.links = node.inner.size() + node.inter.size()};
 }
 
-bool SocialTubeSystem::seenQuery(UserId at, std::uint64_t queryId) {
-  return queryDedup_.checkAndMark(at.index(), queryId);
-}
-
-void SocialTubeSystem::abandonSearch(UserId user) {
-  const std::uint64_t queryId = activeSearch_[user.index()];
-  if (queryId == 0) return;
-  if (Search* search = searches_.find(queryId)) {
-    ctx_.sim().cancel(search->deadline);
-    searches_.erase(queryId);
-  }
-  activeSearch_[user.index()] = 0;
-}
-
 // --- links -------------------------------------------------------------------
 
 
@@ -282,6 +252,15 @@ void SocialTubeSystem::dropLink(UserId from, UserId gone) {
   const NodeRef node = store_.ref(from);
   removeFrom(node.inner, gone);
   removeFrom(node.inter, gone);
+}
+
+void SocialTubeSystem::sayGoodbye(UserId user, std::span<const UserId> links,
+                                  bool innerList) {
+  for (const UserId n : links) {
+    ctx_.sendUser(user, n,
+                  sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
+                               user.value(), innerList ? 1 : 0));
+  }
 }
 
 void SocialTubeSystem::onGoodbye(UserId at, UserId from, bool innerList) {
@@ -345,7 +324,7 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
   node.probeTimer = sim::EventHandle{};
 
   // Abandon any in-flight search.
-  abandonSearch(user);
+  searches_.abandon(user);
 
   // Remember the neighborhood for next session's reconnect.
   node.lastChannel = node.channel;
@@ -356,16 +335,8 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
   if (graceful) {
     // Goodbye messages let neighbors update immediately; abrupt departures
     // leave stale links until the next probe round.
-    for (const UserId n : node.inner) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 1));
-    }
-    for (const UserId n : node.inter) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 0));
-    }
+    sayGoodbye(user, node.inner, /*innerList=*/true);
+    sayGoodbye(user, node.inter, /*innerList=*/false);
   }
   // The server learns of the departure either way (graceful goodbye or
   // session tracking) and clears every membership.
@@ -380,13 +351,7 @@ void SocialTubeSystem::onLogout(UserId user, bool graceful) {
 
 void SocialTubeSystem::leaveOverlays(UserId user, bool notifyNeighbors) {
   const NodeRef node = store_.ref(user);
-  if (notifyNeighbors) {
-    for (const UserId n : node.inner) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 1));
-    }
-  }
+  if (notifyNeighbors) sayGoodbye(user, node.inner, /*innerList=*/true);
   node.inner.clear();
   // Subscription memberships persist; only a temporary membership in a
   // channel the user merely watched is withdrawn.
@@ -427,21 +392,8 @@ void SocialTubeSystem::joinAtServer(const sim::EventTag& tag) {
   std::vector<UserId> innerCandidates = directory_.randomMembers(
       channel, ctx_.config().innerLinks, user, ctx_.rng());
 
-  // One entry point per sibling channel, capped at N_h, channels visited
-  // in random order.
-  std::vector<UserId> interCandidates;
-  const trace::Category& categoryInfo = ctx_.catalog().category(category);
-  std::vector<ChannelId> siblings;
-  for (const ChannelId sibling : categoryInfo.channels) {
-    if (sibling != channel) siblings.push_back(sibling);
-  }
-  ctx_.rng().shuffle(siblings);
-  for (const ChannelId sibling : siblings) {
-    if (interCandidates.size() >= ctx_.config().interLinks) break;
-    const std::vector<UserId> picked =
-        directory_.randomMembers(sibling, 1, user, ctx_.rng());
-    if (!picked.empty()) interCandidates.push_back(picked.front());
-  }
+  std::vector<UserId> interCandidates =
+      siblingEntryPoints(user, channel, category);
 
   // The server records the join now (the node reported its move).
   directory_.add(user, channel);
@@ -456,20 +408,34 @@ void SocialTubeSystem::joinAtServer(const sim::EventTag& tag) {
                          tag.c, tag.d));
 }
 
+std::vector<UserId> SocialTubeSystem::siblingEntryPoints(UserId user,
+                                                         ChannelId channel,
+                                                         CategoryId category) {
+  // One entry point per sibling channel, capped at N_h, channels visited
+  // in random order.
+  std::vector<UserId> entryPoints;
+  std::vector<ChannelId> siblings;
+  for (const ChannelId sibling : ctx_.catalog().category(category).channels) {
+    if (sibling != channel) siblings.push_back(sibling);
+  }
+  ctx_.rng().shuffle(siblings);
+  for (const ChannelId sibling : siblings) {
+    if (entryPoints.size() >= ctx_.config().interLinks) break;
+    const std::vector<UserId> picked =
+        directory_.randomMembers(sibling, 1, user, ctx_.rng());
+    if (!picked.empty()) entryPoints.push_back(picked.front());
+  }
+  return entryPoints;
+}
+
 void SocialTubeSystem::applyJoinReply(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const ChannelId channel{lo32(tag.a)};
   const CategoryId category{hi32(tag.a)};
-  // Duplicated delivery: the first copy consumed the payload (and acted);
-  // the copy is a no-op.
-  if (!ctx_.payloadLive(tag.b)) return;
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  const std::vector<UserId> innerCandidates = toUsers(payload.u);
-  const std::vector<UserId> interCandidates = toUsers(payload.v);
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
+  const std::vector<UserId> innerCandidates = toUsers(payload->u);
+  const std::vector<UserId> interCandidates = toUsers(payload->v);
 
   const NodeRef node = store_.ref(user);
   const bool categoryChanged = node.category != category;
@@ -485,11 +451,7 @@ void SocialTubeSystem::applyJoinReply(const sim::EventTag& tag) {
     if (ctx_.isOnline(candidate)) connectInner(user, candidate);
   }
   if (categoryChanged) {
-    for (const UserId n : node.inter) {
-      ctx_.sendUser(user, n,
-                    sim::makeTag(sim::Component::kSocialTube, kGoodbyeEvent,
-                                 user.value(), 0));
-    }
+    sayGoodbye(user, node.inter, /*innerList=*/false);
     node.inter.clear();
   }
   for (const UserId candidate : interCandidates) {
@@ -536,17 +498,13 @@ void SocialTubeSystem::beginSearch(UserId user, VideoId video,
   if (!ctx_.isOnline(user)) return;
 
   // A previous search may still be pending (e.g. a prefetch-hit body search
-  // outliving a very short playback); abandon it before starting anew.
-  abandonSearch(user);
-
+  // outliving a very short playback); begin() abandons it.
   Search search;
   search.user = user;
   search.video = video;
   search.prefetchHit = prefetchHit;
   search.requestTime = requestTime;
-  const std::uint64_t queryId = searches_.insert(search);
-  activeSearch_[user.index()] = queryId;
-  floodChannelPhase(queryId);
+  floodChannelPhase(searches_.begin(search));
 }
 
 void SocialTubeSystem::floodChannelPhase(std::uint64_t queryId) {
@@ -575,24 +533,18 @@ void SocialTubeSystem::floodChannelPhase(std::uint64_t queryId) {
 void SocialTubeSystem::retrySearch(std::uint64_t staleId) {
   if (searches_.find(staleId) == nullptr) return;  // abandoned during backoff
   Search search = searches_.take(staleId);
-  search.deadline = sim::EventHandle{};
-  const UserId user = search.user;
-  if (!ctx_.isOnline(user)) {  // defensive; logout abandons the search
-    activeSearch_[user.index()] = 0;
-    return;
-  }
+  // Defensive: logout abandons the search.
+  if (!ctx_.isOnline(search.user)) return;
   // Re-insert under a fresh pool id: the dedup stamps of the previous
   // attempt would otherwise suppress the whole re-flood.
-  const std::uint64_t queryId = searches_.insert(std::move(search));
-  activeSearch_[user.index()] = queryId;
-  floodChannelPhase(queryId);
+  floodChannelPhase(searches_.begin(std::move(search)));
 }
 
 void SocialTubeSystem::floodChannelQuery(UserId origin, UserId at,
                                          VideoId video, std::uint64_t queryId,
                                          int ttl) {
   const NodeRef node = store_.ref(at);
-  if (seenQuery(at, queryId)) return;
+  if (searches_.seen(at, queryId)) return;
   if (node.cache.contains(video)) {
     ctx_.sendUser(at, origin,
                   sim::makeTag(sim::Component::kSocialTube, kSearchHit,
@@ -688,75 +640,15 @@ void SocialTubeSystem::fallbackToServer(std::uint64_t queryId) {
 void SocialTubeSystem::resolveSearch(std::uint64_t queryId, UserId provider) {
   assert(searches_.find(queryId) != nullptr);
   const Search search = searches_.take(queryId);
-  ctx_.sim().cancel(search.deadline);
-  activeSearch_[search.user.index()] = 0;
   if (!ctx_.isOnline(search.user)) return;
-  startDownload(search.user, search.video, provider, search.prefetchHit,
-                search.requestTime);
-}
-
-void SocialTubeSystem::startDownload(UserId user, VideoId video,
-                                     UserId provider, bool prefetchHit,
-                                     sim::SimTime requestTime) {
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = video;
-  request.provider = provider;
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = requestTime;
-  // Swarming (extension): stripe the body across additional neighbors known
-  // (via cache digests) to hold the video.
-  if (ctx_.config().bodySources > 1) {
-    const NodeRef node = store_.ref(user);
-    for (const LinkList* links : {&node.inner, &node.inter}) {
-      for (const UserId n : *links) {
-        if (request.extraProviders.size() + 1 >= ctx_.config().bodySources) {
-          break;
-        }
-        if (n == provider) continue;
-        if (!ctx_.neighborAllowed(user, n)) continue;  // breaker open
-        if (ctx_.isOnline(n) && store_.cache(n).contains(video)) {
-          request.extraProviders.push_back(n);
-        }
-      }
-    }
-  }
-  request.reportPlayback = !prefetchHit;
-
-  if (!provider.valid()) {
-    // Server path: the request travels to the server, which starts the flow.
-    // The variable-length striping list rides in the payload pool.
-    vod::SystemContext::Payload payload;
-    payload.u = fromUsers(request.extraProviders);
-    const std::uint64_t payloadId = ctx_.stashPayload(std::move(payload));
-    ctx_.sendToServer(
-        user, sim::makeTag(sim::Component::kSocialTube, kServerWatch,
-                           user.value(),
-                           pack(video.value(), prefetchHit ? 1 : 0), payloadId,
-                           static_cast<std::uint64_t>(requestTime)));
-    return;
-  }
-  transfers_.startWatch(std::move(request));
-}
-
-void SocialTubeSystem::serverWatch(const sim::EventTag& tag) {
-  const UserId user{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.c)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.c);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.c);
-  const bool prefetchHit = hi32(tag.b) != 0;
-  vod::TransferManager::WatchRequest request;
-  request.user = user;
-  request.video = VideoId{lo32(tag.b)};
-  request.provider = UserId::invalid();
-  request.extraProviders = toUsers(payload.u);
-  request.firstChunkCached = prefetchHit;
-  request.requestTime = static_cast<sim::SimTime>(tag.d);
-  request.reportPlayback = !prefetchHit;
-  transfers_.startWatch(std::move(request));
+  // Swarming stripes come from the overlay neighbors known (via cache
+  // digests) to hold the video, channel neighbors first.
+  downloads_.start(search, provider, store_.caches(), [&] {
+    const NodeRef node = store_.ref(search.user);
+    std::vector<UserId> neighbors(node.inner.begin(), node.inner.end());
+    neighbors.insert(neighbors.end(), node.inter.begin(), node.inter.end());
+    return neighbors;
+  });
 }
 
 void SocialTubeSystem::watchPlaybackReady(UserId user, VideoId video,
@@ -852,24 +744,20 @@ void SocialTubeSystem::gossipAtHelper(const sim::EventTag& tag) {
                              channel.value(), payloadId));
 }
 
-void SocialTubeSystem::applyGossipReply(const sim::EventTag& tag) {
+void SocialTubeSystem::applyNeighborLists(const sim::EventTag& tag) {
   const UserId user{tag.a32};
   const ChannelId channel{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.b)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
+  const auto payload = ctx_.receivePayload(tag.b, user);
+  if (!payload) return;
   const NodeRef node = store_.ref(user);
-  if (node.channel != channel) return;  // switched since
-  for (const std::uint32_t raw : payload.u) {
+  if (node.channel != channel) return;  // switched since the request
+  for (const std::uint32_t raw : payload->u) {
     const UserId candidate{raw};
     if (node.inner.size() >= ctx_.config().innerLinks) break;
     if (!ctx_.neighborAllowed(user, candidate)) continue;
     if (ctx_.isOnline(candidate)) connectInner(user, candidate);
   }
-  for (const std::uint32_t raw : payload.v) {
+  for (const std::uint32_t raw : payload->v) {
     const UserId candidate{raw};
     if (node.inter.size() >= ctx_.config().interLinks) break;
     if (!ctx_.neighborAllowed(user, candidate)) continue;
@@ -987,18 +875,7 @@ void SocialTubeSystem::repairAtServer(const sim::EventTag& tag) {
       directory_.randomMembers(channel, needInner, user, ctx_.rng());
   std::vector<UserId> interCandidates;
   if (needInter && category.valid()) {
-    const trace::Category& categoryInfo = ctx_.catalog().category(category);
-    std::vector<ChannelId> siblings;
-    for (const ChannelId sibling : categoryInfo.channels) {
-      if (sibling != channel) siblings.push_back(sibling);
-    }
-    ctx_.rng().shuffle(siblings);
-    for (const ChannelId sibling : siblings) {
-      if (interCandidates.size() >= ctx_.config().interLinks) break;
-      const std::vector<UserId> picked =
-          directory_.randomMembers(sibling, 1, user, ctx_.rng());
-      if (!picked.empty()) interCandidates.push_back(picked.front());
-    }
+    interCandidates = siblingEntryPoints(user, channel, category);
   }
   vod::SystemContext::Payload payload;
   payload.u = fromUsers(innerCandidates);
@@ -1007,31 +884,6 @@ void SocialTubeSystem::repairAtServer(const sim::EventTag& tag) {
   ctx_.sendFromServer(user,
                       sim::makeTag(sim::Component::kSocialTube, kRepairReply,
                                    channel.value(), payloadId));
-}
-
-void SocialTubeSystem::applyRepairReply(const sim::EventTag& tag) {
-  const UserId user{tag.a32};
-  const ChannelId channel{lo32(tag.a)};
-  if (!ctx_.payloadLive(tag.b)) return;  // duplicated delivery; see kJoinReply
-  if (!ctx_.isOnline(user)) {
-    ctx_.freePayload(tag.b);
-    return;
-  }
-  const vod::SystemContext::Payload payload = ctx_.takePayload(tag.b);
-  const NodeRef node = store_.ref(user);
-  if (node.channel != channel) return;  // switched since the request
-  for (const std::uint32_t raw : payload.u) {
-    const UserId candidate{raw};
-    if (node.inner.size() >= ctx_.config().innerLinks) break;
-    if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInner(user, candidate);
-  }
-  for (const std::uint32_t raw : payload.v) {
-    const UserId candidate{raw};
-    if (node.inter.size() >= ctx_.config().interLinks) break;
-    if (!ctx_.neighborAllowed(user, candidate)) continue;
-    if (ctx_.isOnline(candidate)) connectInter(user, candidate);
-  }
 }
 
 // --- invariant audit ----------------------------------------------------------
@@ -1161,25 +1013,14 @@ void SocialTubeSystem::saveState(snapshot::Writer& w) const {
     saveList(node.lastInter);
     node.cache.saveState(w);
   }
-  w.u64(searches_.slotCount());
-  searches_.visitSlots([&w](std::uint32_t, bool live, std::uint32_t gen,
-                            std::uint32_t nextFree, const Search& search) {
-    w.boolean(live);
-    w.u32(gen);
-    w.u32(nextFree);
-    if (!live) return;
-    w.u32(search.user.value());
-    w.u32(search.video.value());
-    w.u8(static_cast<std::uint8_t>(search.phase));
-    w.boolean(search.prefetchHit);
-    w.u32(search.attempt);
-    w.i64(search.requestTime);
+  searches_.saveState(w, [](snapshot::Writer& out, const Search& search) {
+    out.u32(search.user.value());
+    out.u32(search.video.value());
+    out.u8(static_cast<std::uint8_t>(search.phase));
+    out.boolean(search.prefetchHit);
+    out.u32(search.attempt);
+    out.i64(search.requestTime);
   });
-  w.u32(searches_.freeHead());
-  w.u64(queryDedup_.marks().size());
-  for (const std::uint64_t mark : queryDedup_.marks()) w.u64(mark);
-  w.u64(activeSearch_.size());
-  for (const std::uint64_t id : activeSearch_) w.u64(id);
 }
 
 bool SocialTubeSystem::loadState(snapshot::Reader& r) {
@@ -1220,46 +1061,16 @@ bool SocialTubeSystem::loadState(snapshot::Reader& r) {
     node.probeTimer = sim::EventHandle{};
     if (!r.ok()) return false;
   }
-  const std::size_t slots = r.count(1 + 4 + 4);
-  searches_.beginRestore();
-  for (std::size_t i = 0; i < slots; ++i) {
-    const bool live = r.boolean();
-    const std::uint32_t gen = r.u32();
-    const std::uint32_t nextFree = r.u32();
+  return searches_.loadState(r, "SocialTube", [](snapshot::Reader& in) {
     Search search;
-    if (live) {
-      search.user = UserId{r.u32()};
-      search.video = VideoId{r.u32()};
-      search.phase = static_cast<SearchPhase>(r.u8());
-      search.prefetchHit = r.boolean();
-      search.attempt = r.u32();
-      search.requestTime = r.i64();
-      if (r.ok() && search.user.index() >= store_.size()) {
-        r.fail("SocialTube search user out of range");
-        return false;
-      }
-    }
-    if (!r.ok()) return false;
-    searches_.restoreSlot(live, gen, nextFree, std::move(search));
-  }
-  const std::uint32_t freeHead = r.u32();
-  if (!r.ok() || !searches_.finishRestore(freeHead)) {
-    r.fail("SocialTube search pool free list corrupt");
-    return false;
-  }
-  std::vector<std::uint64_t> marks(r.count(8));
-  for (std::uint64_t& mark : marks) mark = r.u64();
-  if (!r.ok() || !queryDedup_.restoreMarks(std::move(marks))) {
-    r.fail("SocialTube dedup mark count mismatch");
-    return false;
-  }
-  const std::size_t activeCount = r.count(8);
-  if (!r.ok() || activeCount != activeSearch_.size()) {
-    r.fail("SocialTube active-search count mismatch");
-    return false;
-  }
-  for (std::uint64_t& id : activeSearch_) id = r.u64();
-  return r.ok();
+    search.user = UserId{in.u32()};
+    search.video = VideoId{in.u32()};
+    search.phase = static_cast<SearchPhase>(in.u8());
+    search.prefetchHit = in.boolean();
+    search.attempt = in.u32();
+    search.requestTime = in.i64();
+    return search;
+  });
 }
 
 }  // namespace st::core

@@ -30,10 +30,9 @@
 #include <span>
 #include <vector>
 
-#include "util/slot_pool.h"
 #include "vod/context.h"
 #include "vod/membership.h"
-#include "vod/query_dedup.h"
+#include "vod/search.h"
 #include "vod/system.h"
 #include "vod/transfer.h"
 #include "vod/video_cache.h"
@@ -229,6 +228,9 @@ class SocialTubeSystem final : public vod::VodSystem,
     [[nodiscard]] const vod::VideoCache& cache(UserId user) const {
       return cache_[user.index()];
     }
+    [[nodiscard]] std::span<const vod::VideoCache> caches() const {
+      return cache_;
+    }
     [[nodiscard]] sim::EventHandle& probeTimer(UserId user) {
       return probeTimer_[user.index()];
     }
@@ -254,14 +256,9 @@ class SocialTubeSystem final : public vod::VodSystem,
 
   enum class SearchPhase { kChannel, kCategory };
 
-  struct Search {
-    UserId user;
-    VideoId video;
+  struct Search : vod::SearchRecord {
     SearchPhase phase = SearchPhase::kChannel;
-    bool prefetchHit = false;
     std::uint32_t attempt = 0;  // overlay passes already exhausted
-    sim::SimTime requestTime = 0;
-    sim::EventHandle deadline;
   };
 
   // --- join/leave ------------------------------------------------------------
@@ -273,12 +270,17 @@ class SocialTubeSystem final : public vod::VodSystem,
   // Tag-rebuilt message bodies (see the kind list above).
   void joinAtServer(const sim::EventTag& tag);
   void applyJoinReply(const sim::EventTag& tag);
-  void serverWatch(const sim::EventTag& tag);
   void gossipAtHelper(const sim::EventTag& tag);
-  void applyGossipReply(const sim::EventTag& tag);
   void repairAtServer(const sim::EventTag& tag);
-  void applyRepairReply(const sim::EventTag& tag);
+  // kGossipReply / kRepairReply: links up with the neighbor lists a helper
+  // or the server sent, unless the user switched channel since.
+  void applyNeighborLists(const sim::EventTag& tag);
+  // Server side: one random online member per sibling channel of
+  // `category`, up to N_h (the inter-link entry points of §IV-A).
+  std::vector<UserId> siblingEntryPoints(UserId user, ChannelId channel,
+                                         CategoryId category);
   void leaveOverlays(UserId user, bool notifyNeighbors);
+  void sayGoodbye(UserId user, std::span<const UserId> links, bool innerList);
   void connectInner(UserId a, UserId b);
   void connectInter(UserId a, UserId b);
   void dropLink(UserId from, UserId gone);
@@ -298,9 +300,9 @@ class SocialTubeSystem final : public vod::VodSystem,
   void enterCategoryPhase(std::uint64_t queryId);
   void onSearchHit(std::uint64_t queryId, UserId provider);
   void fallbackToServer(std::uint64_t queryId);
+  // Closes the search and starts the watch from `provider` (invalid: the
+  // origin server).
   void resolveSearch(std::uint64_t queryId, UserId provider);
-  void startDownload(UserId user, VideoId video, UserId provider,
-                     bool prefetchHit, sim::SimTime requestTime);
 
   // --- prefetch ------------------------------------------------------------------
   void prefetchPopular(UserId user, ChannelId channel, VideoId watching);
@@ -312,21 +314,12 @@ class SocialTubeSystem final : public vod::VodSystem,
   // no live neighbor can help and the server path should run instead.
   bool gossipRepairLinks(UserId user);
 
-  [[nodiscard]] bool seenQuery(UserId at, std::uint64_t queryId);
-  // Abandons the user's in-flight search, if any (logout, new request).
-  void abandonSearch(UserId user);
-
   vod::SystemContext& ctx_;
   vod::TransferManager& transfers_;
   SubscriberDirectory directory_;
   NodeStore store_;
-  // Search records are pooled; the pool id doubles as the flood query id
-  // (never reused, so it is a valid generation stamp for the dedup array).
-  SlotPool<Search> searches_;
-  // Per-node flood dedup stamps (one uint64 per node, no allocation).
-  vod::QueryDedup queryDedup_;
-  // Indexed by user: the user's in-flight search id, 0 if none.
-  std::vector<std::uint64_t> activeSearch_;
+  vod::SearchBook<Search> searches_;
+  vod::DownloadDriver downloads_;
 };
 
 }  // namespace st::core

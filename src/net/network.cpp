@@ -26,33 +26,6 @@ sim::SimTime stretch(sim::SimTime latency, double factor) {
 }  // namespace
 
 bool Network::sendMessage(EndpointId from, EndpointId to,
-                          DeliveryCallback onDeliver) {
-  ++messagesSent_;
-  MessageFaultHook::Decision decision;
-  if (faultHook_ != nullptr) {
-    decision = faultHook_->onMessage(from, to);
-    if (decision.drop) {
-      ++messagesFaulted_;
-      return false;
-    }
-  }
-  if (latency_->lost(from, to, rng_)) {
-    ++messagesLost_;
-    return false;
-  }
-  const sim::SimTime delay =
-      stretch(latency_->delay(from, to, rng_), decision.delayFactor) +
-      decision.extraDelay;
-  if (shardRouter_ != nullptr && sim_.sharded()) {
-    sim_.scheduleForKey(shardRouter_->shardKeyOf(to), delay,
-                        std::move(onDeliver));
-  } else {
-    sim_.schedule(delay, std::move(onDeliver));
-  }
-  return true;
-}
-
-bool Network::sendMessage(EndpointId from, EndpointId to,
                           const sim::EventTag& tag) {
   ++messagesSent_;
   MessageFaultHook::Decision decision;

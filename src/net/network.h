@@ -8,7 +8,6 @@
 #include "net/flow_network.h"
 #include "net/latency.h"
 #include "obs/registry.h"
-#include "sim/callback.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 #include "util/strong_id.h"
@@ -33,10 +32,7 @@ class MessageFaultHook {
     // floor is preserved; 1.0 is the exact identity (bitwise-inert).
     double delayFactor = 1.0;
     // Delivery fault: deliver the message twice, the copy under an
-    // independent latency draw. Only tagged messages can be duplicated
-    // (closures are move-only); the flag is ignored for the callback
-    // variant, which keeps the hook's RNG draw sequence identical across
-    // both send paths.
+    // independent latency draw.
     bool duplicate = false;
   };
 
@@ -55,10 +51,6 @@ class ShardRouter {
 
 class Network {
  public:
-  // Small-buffer-optimized (sim/callback.h): protocol message closures ride
-  // inline through the scheduler instead of heap-allocating per hop.
-  using DeliveryCallback = sim::Callback;
-
   Network(sim::Simulator& simulator, std::unique_ptr<LatencyModel> latency,
           std::uint64_t seed);
   Network(const Network&) = delete;
@@ -70,14 +62,11 @@ class Network {
   }
 
   // --- control plane -------------------------------------------------------
-  // Delivers `onDeliver` at `to` after the model's one-way delay, unless the
-  // message is lost (then nothing happens — protocols recover via timeouts).
-  // Returns true if the message was actually sent (not lost).
-  bool sendMessage(EndpointId from, EndpointId to, DeliveryCallback onDeliver);
-
-  // Tagged (checkpointable) variant: delivery is scheduled through the
-  // tag's EventFactory; a lost or fault-dropped message routes the tag to
-  // Simulator::discardTagged so factory-managed payloads are freed.
+  // Delivers `tag` at `to` after the model's one-way delay, through the
+  // tag's EventFactory. A lost or fault-dropped message routes the tag to
+  // Simulator::discardTagged so factory-managed payloads are freed
+  // (protocols recover via timeouts). Returns true if the message was
+  // actually sent (not lost).
   bool sendMessage(EndpointId from, EndpointId to, const sim::EventTag& tag);
 
   // One-way delay sample without sending (for timeout sizing in protocols).

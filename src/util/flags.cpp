@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 namespace st {
@@ -42,13 +44,45 @@ std::int64_t Flags::getInt(const std::string& name,
                            std::int64_t fallback) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0') {
+    rejectValue(name, text, "is not an integer");
+    return fallback;
+  }
+  if (errno == ERANGE) {
+    rejectValue(name, text, "is out of the 64-bit integer range");
+    return fallback;
+  }
+  return value;
 }
 
 double Flags::getDouble(const std::string& name, double fallback) const {
   consumed_[name] = true;
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0') {
+    rejectValue(name, text, "is not a number");
+    return fallback;
+  }
+  if (errno == ERANGE || !std::isfinite(value)) {
+    rejectValue(name, text, "is out of the finite double range");
+    return fallback;
+  }
+  return value;
+}
+
+void Flags::rejectValue(const std::string& name, const std::string& value,
+                        const char* problem) const {
+  if (!error_.empty()) return;
+  error_ = "--" + name + ": '" + value + "' " + problem;
 }
 
 bool Flags::getBool(const std::string& name, bool fallback) const {

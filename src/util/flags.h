@@ -1,7 +1,8 @@
 // Minimal command-line flag parser for the bench/example binaries.
 //
 // Supports `--name value`, `--name=value`, and boolean `--name`. Unknown
-// flags are an error so typos in sweep scripts fail loudly.
+// flags are an error so typos in sweep scripts fail loudly, and so is a
+// numeric flag whose value is malformed or out of range (`--users abc`).
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,10 @@ class Flags {
   // Parses argv. On error, records a message retrievable via error().
   Flags(int argc, const char* const* argv);
 
+  // False after a malformed command line, or once getInt()/getDouble() met
+  // a value that is not a whole (resp. finite) number in range; error()
+  // then names the first offending flag and value. Check it after the
+  // getters have run.
   [[nodiscard]] bool ok() const { return error_.empty(); }
   [[nodiscard]] const std::string& error() const { return error_; }
 
@@ -25,6 +30,7 @@ class Flags {
 
   [[nodiscard]] std::string getString(const std::string& name,
                                       std::string fallback) const;
+  // getInt/getDouble return `fallback` for a rejected value.
   [[nodiscard]] std::int64_t getInt(const std::string& name,
                                     std::int64_t fallback) const;
   [[nodiscard]] double getDouble(const std::string& name,
@@ -36,9 +42,13 @@ class Flags {
   [[nodiscard]] std::vector<std::string> unconsumed() const;
 
  private:
+  // Records the first rejected value (getters are const).
+  void rejectValue(const std::string& name, const std::string& value,
+                   const char* problem) const;
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
-  std::string error_;
+  mutable std::string error_;
 };
 
 }  // namespace st

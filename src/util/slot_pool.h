@@ -9,7 +9,7 @@
 //
 // Ids are never zero and never repeat (until a per-slot generation wraps
 // 2^32, far beyond any run), which also makes them safe as flood-query
-// dedup stamps (see vod/query_dedup.h).
+// dedup stamps (see vod::SearchBook).
 //
 // Storage is a deque, so references returned by find() stay valid across
 // inserts — matching the unordered_map semantics the protocols relied on.

@@ -96,30 +96,6 @@ std::size_t SystemContext::onlineCount() const {
       std::count(online_.begin(), online_.end(), 1));
 }
 
-void SystemContext::sendUser(UserId from, UserId to,
-                             sim::Callback atReceiver) {
-  network_.sendMessage(
-      endpointOf(from), endpointOf(to),
-      [this, to, fn = std::move(atReceiver)]() mutable {
-        if (isOnline(to)) fn();
-      });
-}
-
-void SystemContext::sendToServer(UserId from, sim::Callback atServer) {
-  network_.sendMessage(endpointOf(from), serverEndpoint_,
-                       [this, fn = std::move(atServer)]() mutable {
-                         sim_.schedule(config_.serverProcessing,
-                                       std::move(fn));
-                       });
-}
-
-void SystemContext::sendFromServer(UserId to, sim::Callback atReceiver) {
-  network_.sendMessage(serverEndpoint_, endpointOf(to),
-                       [this, to, fn = std::move(atReceiver)]() mutable {
-                         if (isOnline(to)) fn();
-                       });
-}
-
 void SystemContext::sendUser(UserId from, UserId to, sim::EventTag tag) {
   tag.stage = static_cast<std::uint16_t>(sim::Stage::kUserDeliver);
   tag.a32 = to.value();
@@ -169,24 +145,14 @@ std::uint64_t SystemContext::stashPayload(Payload payload) {
   return id;
 }
 
-SystemContext::Payload& SystemContext::payload(std::uint64_t id) {
+std::optional<SystemContext::Payload> SystemContext::receivePayload(
+    std::uint64_t id, UserId user) {
   const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  return it->second;
-}
-
-SystemContext::Payload SystemContext::takePayload(std::uint64_t id) {
-  const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  Payload out = std::move(it->second);
+  if (it == payloads_.end()) return std::nullopt;  // duplicated delivery
+  std::optional<Payload> payload;
+  if (isOnline(user)) payload = std::move(it->second);
   payloads_.erase(it);
-  return out;
-}
-
-void SystemContext::freePayload(std::uint64_t id) {
-  const auto it = payloads_.find(id);
-  assert(it != payloads_.end() && "stale or freed payload id");
-  payloads_.erase(it);
+  return payload;
 }
 
 void SystemContext::saveState(snapshot::Writer& w) const {

@@ -1,14 +1,15 @@
 // Shared wiring passed to every VoD system implementation.
 //
 // Users map to endpoints by index; the origin server is one extra endpoint.
-// Control-plane helpers deliver callbacks across the latency model and drop
-// messages whose receiver is offline at delivery time (protocols recover via
-// their phase deadlines).
+// Control-plane helpers deliver tagged messages across the latency model and
+// drop messages whose receiver is offline at delivery time (protocols recover
+// via their phase deadlines).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -22,6 +23,34 @@
 #include "vod/metrics.h"
 
 namespace st::vod {
+
+// --- tag wire helpers -------------------------------------------------------
+// Two 32-bit fields share one 64-bit tag word (lo | hi << 32); user lists
+// that do not fit in a tag ride in SystemContext::Payload vectors as raw ids.
+[[nodiscard]] inline std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
+  return static_cast<std::uint64_t>(lo) |
+         (static_cast<std::uint64_t>(hi) << 32);
+}
+[[nodiscard]] inline std::uint32_t lo32(std::uint64_t v) {
+  return static_cast<std::uint32_t>(v);
+}
+[[nodiscard]] inline std::uint32_t hi32(std::uint64_t v) {
+  return static_cast<std::uint32_t>(v >> 32);
+}
+[[nodiscard]] inline std::vector<UserId> toUsers(
+    const std::vector<std::uint32_t>& raw) {
+  std::vector<UserId> users;
+  users.reserve(raw.size());
+  for (const std::uint32_t value : raw) users.push_back(UserId{value});
+  return users;
+}
+[[nodiscard]] inline std::vector<std::uint32_t> fromUsers(
+    std::span<const UserId> users) {
+  std::vector<std::uint32_t> raw;
+  raw.reserve(users.size());
+  for (const UserId user : users) raw.push_back(user.value());
+  return raw;
+}
 
 class SystemContext final : public net::ShardRouter {
  public:
@@ -102,31 +131,26 @@ class SystemContext final : public net::ShardRouter {
   void reportNeighborFailure(UserId owner, UserId neighbor);
   void reportNeighborSuccess(UserId owner, UserId neighbor);
 
-  // Delivers `atReceiver` at `to` after one-way latency; silently dropped if
-  // the receiver is offline when the message arrives (or lost in transit).
-  void sendUser(UserId from, UserId to, sim::Callback atReceiver);
-
-  // Request to the origin server: latency + processing delay, then
-  // `atServer` runs (server never churns).
-  void sendToServer(UserId from, sim::Callback atServer);
-
-  // Server-to-user reply; dropped if the user went offline.
-  void sendFromServer(UserId to, sim::Callback atReceiver);
-
-  // --- tagged (checkpointable) messaging ------------------------------------
-  // Same delivery semantics as the closure helpers, but the message is a
-  // serializable EventTag routed through the component's EventFactory. The
+  // --- messaging -------------------------------------------------------------
+  // Every message is a serializable EventTag routed through the component's
+  // EventFactory, so a pending message survives checkpoint/restore. The
   // helpers stamp the delivery stage (and receiver) onto the tag; the
   // factory's rebuild() applies the matching guard via wrapStage().
+  //
+  // sendUser delivers at `to` after one-way latency; it is dropped if the
+  // receiver is offline when it arrives (or lost in transit).
   void sendUser(UserId from, UserId to, sim::EventTag tag);
+  // Request to the origin server: latency + processing delay, then the
+  // action runs (the server never churns).
   void sendToServer(UserId from, sim::EventTag tag);
+  // Server-to-user reply; dropped if the user went offline.
   void sendFromServer(UserId to, sim::EventTag tag);
 
-  // Wraps a component's raw event action in the delivery-stage guard the
-  // closure send helpers used to capture: online checks for user delivery,
-  // the server-processing hop for requests. Factories call this from
-  // rebuild() so runtime and restore share one path. For kServerArrive the
-  // action is ignored — the wrapper schedules the same tag at kServerRun.
+  // Wraps a component's raw event action in its delivery-stage guard:
+  // online checks for user delivery, the server-processing hop for
+  // requests. Factories call this from rebuild() so runtime and restore
+  // share one path. For kServerArrive the action is ignored — the wrapper
+  // schedules the same tag at kServerRun.
   [[nodiscard]] sim::Callback wrapStage(const sim::EventTag& tag,
                                         sim::Callback action);
 
@@ -142,20 +166,15 @@ class SystemContext final : public net::ShardRouter {
     std::uint64_t x = 0;
   };
   std::uint64_t stashPayload(Payload payload);
-  // Live payload lookup; asserts on stale/unknown ids (a leak or double
-  // free would silently corrupt a restore otherwise).
-  [[nodiscard]] Payload& payload(std::uint64_t id);
-  // Moves the payload out and frees the entry.
-  Payload takePayload(std::uint64_t id);
-  void freePayload(std::uint64_t id);
+  // A message carrying payload `id` was delivered: frees the entry and
+  // returns it if `user` — the receiver, or the sender of a server request
+  // — is online, nullopt otherwise.
   // Duplicate-delivery tolerance: under dup fault windows the same tag (and
-  // so the same payload id) can be delivered twice; the first consumer wins
-  // and the copy must detect the freed entry instead of asserting. Handlers
-  // gate on payloadLive() before takePayload(); factories free with
-  // freePayloadIfLive() from discard().
-  [[nodiscard]] bool payloadLive(std::uint64_t id) const {
-    return payloads_.count(id) != 0;
-  }
+  // so the same payload id) can be delivered twice; the first copy consumes
+  // the entry and the second finds nothing to act on. Factories free the
+  // payload of a lost message with freePayloadIfLive() from discard().
+  [[nodiscard]] std::optional<Payload> receivePayload(std::uint64_t id,
+                                                      UserId user);
   void freePayloadIfLive(std::uint64_t id) { payloads_.erase(id); }
   [[nodiscard]] std::size_t livePayloads() const { return payloads_.size(); }
 

@@ -1,4 +1,4 @@
-// SystemContext semantics: endpoint wiring, online gating of message
+// SystemContext semantics: endpoint wiring, online gating of tagged message
 // delivery, and server round-trip behaviour.
 #include "vod/context.h"
 
@@ -14,6 +14,51 @@ using st::testing::miniCatalog;
 
 constexpr UserId kAlice{0};
 constexpr UserId kBob{1};
+
+// A component whose every message goes through SystemContext::wrapStage,
+// as the protocol factories route theirs: counts deliveries per kind and
+// answers each server request with a reply to the requester (tag.a).
+// Borrows the session component id: the Stack runs no session driver.
+class Messenger final : public sim::EventFactory {
+ public:
+  static constexpr std::uint8_t kNote = 0;     // user to user
+  static constexpr std::uint8_t kRequest = 1;  // user to server, a = user
+  static constexpr std::uint8_t kReply = 2;    // server to user
+
+  explicit Messenger(Stack& stack) : stack_(stack) {
+    stack_.sim().registerFactory(kComponent, this);
+  }
+  ~Messenger() override {
+    stack_.sim().registerFactory(kComponent, nullptr);
+  }
+
+  static sim::EventTag tag(std::uint8_t kind, std::uint64_t a = 0) {
+    return sim::makeTag(kComponent, kind, a);
+  }
+  [[nodiscard]] int count(std::uint8_t kind) const { return count_[kind]; }
+  [[nodiscard]] sim::SimTime lastAt(std::uint8_t kind) const {
+    return lastAt_[kind];
+  }
+
+  [[nodiscard]] sim::Callback rebuild(const sim::EventTag& tag) override {
+    return stack_.ctx().wrapStage(tag, [this, tag] { deliver(tag); });
+  }
+
+ private:
+  static constexpr sim::Component kComponent = sim::Component::kSession;
+
+  void deliver(const sim::EventTag& tag) {
+    ++count_[tag.kind];
+    lastAt_[tag.kind] = stack_.sim().now();
+    if (tag.kind == kRequest) {
+      stack_.ctx().sendFromServer(UserId{lo32(tag.a)}, Messenger::tag(kReply));
+    }
+  }
+
+  Stack& stack_;
+  int count_[3] = {};
+  sim::SimTime lastAt_[3] = {-1, -1, -1};
+};
 
 class ContextTest : public ::testing::Test {
  protected:
@@ -38,56 +83,69 @@ TEST_F(ContextTest, ServerGetsConcurrencyLimitFromConfig) {
 }
 
 TEST_F(ContextTest, OnlineFlagGatesDelivery) {
+  Messenger messenger(stack_);
   stack_.ctx().setOnline(kAlice, true);
   stack_.ctx().setOnline(kBob, true);
-  int delivered = 0;
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, Messenger::tag(Messenger::kNote));
   stack_.sim().run();
-  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(messenger.count(Messenger::kNote), 1);
 
   stack_.ctx().setOnline(kBob, false);
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, Messenger::tag(Messenger::kNote));
   stack_.sim().run();
-  EXPECT_EQ(delivered, 1);  // dropped: receiver offline
+  EXPECT_EQ(messenger.count(Messenger::kNote), 1);  // dropped: receiver offline
 }
 
 TEST_F(ContextTest, ReceiverGoingOfflineMidFlightDropsMessage) {
+  Messenger messenger(stack_);
   stack_.ctx().setOnline(kAlice, true);
   stack_.ctx().setOnline(kBob, true);
-  int delivered = 0;
-  stack_.ctx().sendUser(kAlice, kBob, [&] { ++delivered; });
+  stack_.ctx().sendUser(kAlice, kBob, Messenger::tag(Messenger::kNote));
   // Bob logs off before the (>= 1 ms) latency elapses.
   stack_.ctx().setOnline(kBob, false);
   stack_.sim().run();
-  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(messenger.count(Messenger::kNote), 0);
 }
 
 TEST_F(ContextTest, ServerRoundTripIncursLatencyAndProcessing) {
+  Messenger messenger(stack_);
   stack_.ctx().setOnline(kAlice, true);
-  sim::SimTime atServer = -1;
-  sim::SimTime atUser = -1;
-  stack_.ctx().sendToServer(kAlice, [&] {
-    atServer = stack_.sim().now();
-    stack_.ctx().sendFromServer(kAlice,
-                                [&] { atUser = stack_.sim().now(); });
-  });
+  stack_.ctx().sendToServer(
+      kAlice, Messenger::tag(Messenger::kRequest, kAlice.value()));
   stack_.sim().run();
+  ASSERT_EQ(messenger.count(Messenger::kRequest), 1);
+  ASSERT_EQ(messenger.count(Messenger::kReply), 1);
+  const sim::SimTime atServer = messenger.lastAt(Messenger::kRequest);
   EXPECT_GE(atServer, sim::kMillisecond);  // latency + processing
-  EXPECT_GT(atUser, atServer);             // reply latency
+  EXPECT_GT(messenger.lastAt(Messenger::kReply), atServer);  // reply latency
 }
 
 TEST_F(ContextTest, ServerNeverChurns) {
   // sendToServer runs even when every user is offline (the server is not a
   // user); only the reply is gated.
-  int atServer = 0;
-  int atUser = 0;
-  stack_.ctx().sendToServer(kAlice, [&] {
-    ++atServer;
-    stack_.ctx().sendFromServer(kAlice, [&] { ++atUser; });
-  });
+  Messenger messenger(stack_);
+  stack_.ctx().sendToServer(
+      kAlice, Messenger::tag(Messenger::kRequest, kAlice.value()));
   stack_.sim().run();
-  EXPECT_EQ(atServer, 1);
-  EXPECT_EQ(atUser, 0);  // Alice offline: reply dropped
+  EXPECT_EQ(messenger.count(Messenger::kRequest), 1);
+  EXPECT_EQ(messenger.count(Messenger::kReply), 0);  // Alice offline: dropped
+}
+
+TEST_F(ContextTest, ReceivedPayloadIsConsumedOnceAndFreedForAnOfflineUser) {
+  stack_.ctx().setOnline(kAlice, true);
+  SystemContext::Payload sent;
+  sent.u = {7, 8};
+  const std::uint64_t id = stack_.ctx().stashPayload(sent);
+  const auto received = stack_.ctx().receivePayload(id, kAlice);
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->u, sent.u);
+  // A duplicated delivery finds the entry consumed.
+  EXPECT_FALSE(stack_.ctx().receivePayload(id, kAlice).has_value());
+  EXPECT_EQ(stack_.ctx().livePayloads(), 0u);
+
+  const std::uint64_t other = stack_.ctx().stashPayload(sent);
+  EXPECT_FALSE(stack_.ctx().receivePayload(other, kBob).has_value());
+  EXPECT_EQ(stack_.ctx().livePayloads(), 0u);  // offline user: freed anyway
 }
 
 TEST_F(ContextTest, OnlineCountTracksFlags) {

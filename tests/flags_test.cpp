@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "fault/schedule.h"
@@ -76,6 +77,67 @@ TEST(Flags, NegativeNumbersAsValues) {
   // "-5" does not start with "--", so it parses as a value.
   const Flags flags = parse({"--offset", "-5"});
   EXPECT_EQ(flags.getInt("offset", 0), -5);
+}
+
+// A numeric value that does not parse whole is a flag error naming the flag
+// and the value; the getter falls back instead of running with 0.
+
+TEST(Flags, NonNumericIntegerIsError) {
+  const Flags flags = parse({"--users", "abc"});
+  EXPECT_TRUE(flags.ok());  // parsing argv alone accepts any string
+  EXPECT_EQ(flags.getInt("users", 7), 7);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--users"), std::string::npos) << flags.error();
+  EXPECT_NE(flags.error().find("'abc'"), std::string::npos) << flags.error();
+}
+
+TEST(Flags, TrailingGarbageIntegerIsError) {
+  const Flags flags = parse({"--users", "12x"});
+  EXPECT_EQ(flags.getInt("users", 7), 7);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("'12x'"), std::string::npos) << flags.error();
+}
+
+TEST(Flags, EmptyIntegerIsError) {
+  const Flags flags = parse({"--users="});
+  EXPECT_EQ(flags.getInt("users", 7), 7);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--users"), std::string::npos) << flags.error();
+}
+
+TEST(Flags, OverflowingIntegerIsError) {
+  const Flags flags = parse({"--seed", "99999999999999999999"});
+  EXPECT_EQ(flags.getInt("seed", 1), 1);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--seed"), std::string::npos) << flags.error();
+  EXPECT_NE(flags.error().find("99999999999999999999"), std::string::npos);
+  EXPECT_NE(flags.error().find("range"), std::string::npos) << flags.error();
+}
+
+TEST(Flags, IntegerRangeLimitsStillParse) {
+  const Flags flags = parse({"--lo", "-9223372036854775808", "--hi",
+                             "9223372036854775807"});
+  EXPECT_EQ(flags.getInt("lo", 0), INT64_MIN);
+  EXPECT_EQ(flags.getInt("hi", 0), INT64_MAX);
+  EXPECT_TRUE(flags.ok());
+}
+
+TEST(Flags, MalformedDoublesAreErrors) {
+  for (const char* bad : {"abc", "0.5x", "", "1e999", "nan", "inf"}) {
+    const std::string arg = std::string("--ratio=") + bad;
+    const Flags flags = parse({arg.c_str()});
+    EXPECT_DOUBLE_EQ(flags.getDouble("ratio", 2.5), 2.5) << bad;
+    EXPECT_FALSE(flags.ok()) << bad;
+    EXPECT_NE(flags.error().find("--ratio"), std::string::npos) << bad;
+  }
+}
+
+TEST(Flags, FirstRejectedValueIsReported) {
+  const Flags flags = parse({"--users", "abc", "--seed", "x1"});
+  (void)flags.getInt("users", 0);
+  (void)flags.getInt("seed", 0);
+  EXPECT_NE(flags.error().find("--users"), std::string::npos) << flags.error();
+  EXPECT_EQ(flags.error().find("--seed"), std::string::npos) << flags.error();
 }
 
 // The CLI fail-fast contract: a rejected --faults / --overload spec names the

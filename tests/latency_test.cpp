@@ -15,6 +15,31 @@ namespace {
 constexpr EndpointId kA{0};
 constexpr EndpointId kB{1};
 
+// Counts the tagged messages the network delivers, and the ones it reports
+// lost through EventFactory::discard. Borrows the session component id: no
+// session driver runs in these tests.
+class CountingFactory final : public sim::EventFactory {
+ public:
+  explicit CountingFactory(sim::Simulator& sim) : sim_(sim) {
+    sim_.registerFactory(kComponent, this);
+  }
+  ~CountingFactory() override { sim_.registerFactory(kComponent, nullptr); }
+
+  static sim::EventTag message() { return sim::makeTag(kComponent, 0); }
+
+  [[nodiscard]] sim::Callback rebuild(const sim::EventTag&) override {
+    return [this] { ++delivered; };
+  }
+  void discard(const sim::EventTag&) override { ++discarded; }
+
+  int delivered = 0;
+  int discarded = 0;
+
+ private:
+  static constexpr sim::Component kComponent = sim::Component::kSession;
+  sim::Simulator& sim_;
+};
+
 TEST(PairUniform, StableAndSymmetric) {
   const double u1 = pairUniform(7, kA, kB);
   const double u2 = pairUniform(7, kB, kA);
@@ -115,11 +140,12 @@ TEST(Network, DeliversMessageAfterDelay) {
                   1);
   network.addEndpoint(kA, {1e6, 1e6});
   network.addEndpoint(kB, {1e6, 1e6});
-  bool delivered = false;
-  network.sendMessage(kA, kB, [&] { delivered = true; });
-  EXPECT_FALSE(delivered);
+  CountingFactory factory(sim);
+  network.sendMessage(kA, kB, CountingFactory::message());
+  EXPECT_EQ(factory.delivered, 0);
   sim.run();
-  EXPECT_TRUE(delivered);
+  EXPECT_EQ(factory.delivered, 1);
+  EXPECT_EQ(factory.discarded, 0);
   EXPECT_GE(sim.now(), 9 * sim::kMillisecond);
   EXPECT_EQ(network.messagesSent(), 1u);
   EXPECT_EQ(network.messagesLost(), 0u);
@@ -221,14 +247,16 @@ TEST(Network, LossyModelDropsSomeMessages) {
       sim, std::make_unique<WideAreaLatencyModel>(2, 80.0, 0.6, 0.5), 2);
   network.addEndpoint(kA, {1e6, 1e6});
   network.addEndpoint(kB, {1e6, 1e6});
-  int delivered = 0;
+  CountingFactory factory(sim);
   for (int i = 0; i < 1000; ++i) {
-    network.sendMessage(kA, kB, [&] { ++delivered; });
+    network.sendMessage(kA, kB, CountingFactory::message());
   }
   sim.run();
   EXPECT_EQ(network.messagesSent(), 1000u);
   EXPECT_NEAR(static_cast<double>(network.messagesLost()), 500.0, 60.0);
-  EXPECT_EQ(delivered, 1000 - static_cast<int>(network.messagesLost()));
+  EXPECT_EQ(factory.delivered, 1000 - static_cast<int>(network.messagesLost()));
+  // Every lost message reaches its factory, so payloads it names are freed.
+  EXPECT_EQ(factory.discarded, static_cast<int>(network.messagesLost()));
 }
 
 }  // namespace
