@@ -3,6 +3,7 @@
 // NetTube:    m * log(u) links after m videos.
 // Paper constants: u = 500, u_c = 5,000, u_t = 25,000.
 #include "exp/analytical.h"
+#include "bench_common.h"
 #include "util/flags.h"
 
 #include <cstdio>
@@ -13,10 +14,7 @@ int main(int argc, char** argv) {
   const double u = flags.getDouble("viewers-per-video", 500.0);
   const double uc = flags.getDouble("users-per-channel", 5'000.0);
   const double ut = flags.getDouble("users-per-interest", 25'000.0);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
+  if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
 
   const auto series =
       st::exp::analytical::fig15Series(maxVideos, u, uc, ut);

@@ -1,15 +1,13 @@
 // Table I — experiment default parameters, as wired into the code.
 #include "exp/config.h"
+#include "bench_common.h"
 #include "util/flags.h"
 
 #include <cstdio>
 
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
+  if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
   const auto config = st::exp::ExperimentConfig::simulationDefaults();
   const auto planetlab = st::exp::ExperimentConfig::planetLabDefaults();
 

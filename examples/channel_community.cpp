@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "bench_common.h"
 #include "core/socialtube.h"
 #include "net/latency.h"
 #include "net/network.h"
@@ -20,10 +21,7 @@
 int main(int argc, char** argv) {
   const st::Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
+  if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
 
   // 1. A small catalog.
   st::trace::GeneratorParams traceParams;

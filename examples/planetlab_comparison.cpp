@@ -58,6 +58,8 @@ int main(int argc, char** argv) {
       config.snapshot.at = st::sim::fromSeconds(snapshotAt);
     }
     st::bench::applyRobustnessFlags(flags, config);
+    // Every flag has been read by now, so this fails before any simulation.
+    if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
 
     std::printf("=== %s environment (%zu nodes) ===\n",
                 planetlab ? "PlanetLab (wide-area, 1%% loss)" : "PeerSim",

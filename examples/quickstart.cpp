@@ -5,6 +5,7 @@
 //                         [--planetlab]
 #include <cstdio>
 
+#include "bench_common.h"
 #include "exp/config.h"
 #include "exp/report.h"
 #include "exp/runner.h"
@@ -21,10 +22,7 @@ int main(int argc, char** argv) {
       flags.getInt("users", planetlab ? 250 : 1500));
   const auto sessions =
       static_cast<std::size_t>(flags.getInt("sessions", 8));
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
+  if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
   config = config.scaledTo(users, sessions);
 
   std::printf("SocialTube quickstart — %zu users, %zu channels, %zu videos, "

@@ -6,6 +6,7 @@
 //   ./examples/trace_explorer [--users 2031] [--seed 7] [--max-crawl 500]
 #include <cstdio>
 
+#include "bench_common.h"
 #include "trace/crawler.h"
 #include "trace/io.h"
 #include "trace/generator.h"
@@ -25,10 +26,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.getInt("max-crawl", 0));
   const std::string savePath = flags.getString("save", "");
   const std::string loadPath = flags.getString("load", "");
-  if (!flags.ok()) {
-    std::fprintf(stderr, "%s\n", flags.error().c_str());
-    return 2;
-  }
+  if (const int rc = st::bench::rejectUnknownFlags(flags)) return rc;
 
   st::trace::Catalog catalog;
   if (!loadPath.empty()) {

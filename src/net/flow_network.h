@@ -8,7 +8,8 @@
 // i.e. each endpoint splits its capacity evenly across its active flows.
 // Rates change only when a flow starts or ends, so the event-driven
 // integration is exact: on each membership change we settle the progress of
-// the affected flows and reschedule their completion events.
+// the affected flows and move each one's pending completion event to its new
+// finish time (Simulator::rescheduleTagged re-keys the heap entry in place).
 //
 // This is the mechanism that makes the origin server's 5 Mbps uplink
 // (Table I) saturate under PA-VoD and produce the paper's startup-delay

@@ -70,6 +70,67 @@ std::uint64_t Simulator::eventsFired() const {
   return total;
 }
 
+std::size_t Simulator::queuedEntries() const {
+  std::size_t total = 0;
+  for (const ShardState& shard : shards_) total += shard.heap.size();
+  return total;
+}
+
+// --- indexed heap ------------------------------------------------------------
+// Hole-based sifts: the moving entry is written once, at its final position,
+// and every entry shifted past it updates its slot's heapPos.
+
+void Simulator::ShardState::siftUp(std::uint32_t pos, const HeapEntry& entry) {
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    if (!entry.before(heap[parent])) break;
+    heap[pos] = heap[parent];
+    heapPos[heap[pos].slot] = pos;
+    pos = parent;
+  }
+  heap[pos] = entry;
+  heapPos[entry.slot] = pos;
+}
+
+void Simulator::ShardState::siftDown(std::uint32_t pos,
+                                     const HeapEntry& entry) {
+  const auto size = static_cast<std::uint32_t>(heap.size());
+  for (;;) {
+    std::uint32_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap[child + 1].before(heap[child])) ++child;
+    if (!heap[child].before(entry)) break;
+    heap[pos] = heap[child];
+    heapPos[heap[pos].slot] = pos;
+    pos = child;
+  }
+  heap[pos] = entry;
+  heapPos[entry.slot] = pos;
+}
+
+void Simulator::ShardState::push(const HeapEntry& entry) {
+  heap.push_back(entry);
+  siftUp(static_cast<std::uint32_t>(heap.size() - 1), entry);
+}
+
+void Simulator::ShardState::replace(std::uint32_t pos,
+                                    const HeapEntry& entry) {
+  assert(pos < heap.size());
+  if (pos > 0 && entry.before(heap[(pos - 1) / 2])) {
+    siftUp(pos, entry);
+  } else {
+    siftDown(pos, entry);
+  }
+}
+
+void Simulator::ShardState::erase(std::uint32_t pos) {
+  assert(pos < heap.size());
+  heapPos[heap[pos].slot] = kNotQueued;
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (pos < heap.size()) replace(pos, last);
+}
+
 bool Simulator::configureShards(const ShardPlan& plan, std::string* error) {
   auto reject = [&](const std::string& why) {
     if (error != nullptr) *error = why;
@@ -114,6 +175,7 @@ std::uint32_t Simulator::allocSlot(ShardState& shard) {
   assert(index <= kSlotIndexMask && "shard arena exceeds the handle packing");
   shard.slots.emplace_back();
   shard.tags.emplace_back();
+  shard.heapPos.push_back(kNotQueued);
   return index;
 }
 
@@ -123,8 +185,8 @@ void Simulator::releaseSlot(ShardState& shard, std::uint32_t index) {
   slot.period = 0;
   slot.destKey = 0;
   shard.tags[index] = EventTag{};
-  // The bump invalidates every outstanding handle and heap entry for the
-  // old occupant; 0 is reserved for never-scheduled handles.
+  // The bump invalidates every outstanding handle for the old occupant; 0
+  // is reserved for never-scheduled handles.
   if (++slot.gen == 0) slot.gen = 1;
   slot.nextFree = shard.freeHead;
   shard.freeHead = index;
@@ -140,7 +202,7 @@ EventHandle Simulator::enqueueInShard(ShardState& shard, SimTime when,
   slot.period = period;
   slot.destKey = destKey;
   shard.tags[index] = tag;
-  shard.queue.push(HeapEntry{when, stamp, index, slot.gen});
+  shard.push(HeapEntry{when, stamp, index});
   ++shard.live;
   const auto shardIndex =
       static_cast<std::uint32_t>(&shard - shards_.data());
@@ -271,68 +333,76 @@ void Simulator::cancel(EventHandle handle) {
   Slot& slot = shard.slots[index];
   if (slot.gen != handle.gen_) return;  // already fired or cancelled
   if (slot.period > 0) --shard.periodicLive;
+  shard.erase(shard.heapPos[index]);
   releaseSlot(shard, index);
   --shard.live;
 }
 
-// Fires the canonically next live event of `shard`, updating the serial
-// clock and ambient key. Returns false if the shard had only stale entries.
-bool Simulator::fireNextIn(ShardState& shard) {
-  while (!shard.queue.empty()) {
-    const HeapEntry entry = shard.queue.top();
-    shard.queue.pop();
-    Slot* slot = &shard.slots[entry.slot];
-    if (slot->gen != entry.gen) continue;  // cancelled
-    now_ = entry.when;
-    shard.localNow = entry.when;
-    currentKey_ = slot->destKey;
-    ++shard.fired;
-    if (slot->period > 0) {
-      // Move the callback out for the call: it may cancel its own series
-      // (which resets the slot) without destroying a running closure, and
-      // it may schedule new events (which can reallocate the arena).
-      Callback fn = std::move(slot->fn);
-      fn();
-      slot = &shard.slots[entry.slot];
-      if (slot->gen == entry.gen) {
-        slot->fn = std::move(fn);
-        shard.queue.push(HeapEntry{now_ + slot->period,
-                                   nextStamp(slot->destKey), entry.slot,
-                                   entry.gen});
-      }
-      return true;
+EventHandle Simulator::rescheduleTagged(EventHandle handle, SimTime delay,
+                                        const EventTag& tag) {
+  assert(delay >= 0);
+  if (handle.valid() && tlsWindow.sim != this) {
+    const std::uint32_t shardIndex = handle.slot_ >> kSlotIndexBits;
+    const std::uint32_t index = handle.slot_ & kSlotIndexMask;
+    ShardState& shard = shards_[shardIndex];
+    Slot& slot = shard.slots[index];
+    // currentKey_ is 0 when unsharded, which is also every slot's destKey.
+    if (slot.gen == handle.gen_ && slot.period == 0 &&
+        &shard == &shardForKey(currentKey_) && shard.tags[index] == tag) {
+      // Exactly what cancel + scheduleTagged would leave behind: the event
+      // now runs under the caller's key with a freshly drawn stamp.
+      slot.destKey = currentKey_;
+      shard.replace(shard.heapPos[index],
+                    HeapEntry{now_ + delay, nextStamp(currentKey_), index});
+      return handle;
     }
-    // One-shot: release the slot before invoking so the handle is stale
-    // during the callback and the slot is immediately reusable.
-    Callback fn = std::move(slot->fn);
-    releaseSlot(shard, entry.slot);
-    --shard.live;
-    fn();
-    return true;
   }
-  return false;
+  cancel(handle);
+  return scheduleTagged(delay, tag);
 }
 
-void Simulator::purgeStale(ShardState& shard) {
-  while (!shard.queue.empty()) {
-    const HeapEntry& entry = shard.queue.top();
-    if (shard.slots[entry.slot].gen == entry.gen) return;
-    shard.queue.pop();
+void Simulator::fireHead(ShardState& shard, std::uint32_t& ambientKey) {
+  const HeapEntry head = shard.heap.front();
+  Slot* slot = &shard.slots[head.slot];
+  shard.localNow = head.when;
+  ambientKey = slot->destKey;
+  ++shard.fired;
+  if (slot->period > 0) {
+    // The series stays queued while it runs. Move the callback out for the
+    // call: it may cancel its own series (which resets the slot) without
+    // destroying a running closure, and it may schedule new events (which
+    // can reallocate the arena and move the entry within the heap).
+    const std::uint32_t gen = slot->gen;
+    Callback fn = std::move(slot->fn);
+    fn();
+    slot = &shard.slots[head.slot];
+    if (slot->gen == gen) {
+      slot->fn = std::move(fn);
+      shard.replace(shard.heapPos[head.slot],
+                    HeapEntry{head.when + slot->period,
+                              nextStamp(slot->destKey), head.slot});
+    }
+    return;
   }
+  // One-shot: release the slot before invoking so the handle is stale
+  // during the callback and the slot is immediately reusable.
+  Callback fn = std::move(slot->fn);
+  shard.erase(0);
+  releaseSlot(shard, head.slot);
+  --shard.live;
+  fn();
+}
+
+void Simulator::fireSerial(ShardState& shard) {
+  now_ = shard.heap.front().when;
+  fireHead(shard, currentKey_);
 }
 
 Simulator::ShardState* Simulator::nextShardSerial() {
   ShardState* best = nullptr;
   for (ShardState& shard : shards_) {
-    purgeStale(shard);
-    if (shard.queue.empty()) continue;
-    if (best == nullptr) {
-      best = &shard;
-      continue;
-    }
-    const HeapEntry& a = shard.queue.top();
-    const HeapEntry& b = best->queue.top();
-    if (a.when < b.when || (a.when == b.when && a.stamp < b.stamp)) {
+    if (shard.heap.empty()) continue;
+    if (best == nullptr || shard.heap.front().before(best->heap.front())) {
       best = &shard;
     }
   }
@@ -343,8 +413,9 @@ std::uint64_t Simulator::runUntilSerial(SimTime until) {
   std::uint64_t count = 0;
   for (;;) {
     ShardState* shard = nextShardSerial();
-    if (shard == nullptr || shard->queue.top().when > until) break;
-    if (fireNextIn(*shard)) ++count;
+    if (shard == nullptr || shard->heap.front().when > until) break;
+    fireSerial(*shard);
+    ++count;
   }
   if (now_ < until) now_ = until;
   currentKey_ = 0;
@@ -385,10 +456,7 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
     }
     SimTime next = kNoEvent;
     for (ShardState& shard : shards_) {
-      purgeStale(shard);
-      if (!shard.queue.empty()) {
-        next = std::min(next, shard.queue.top().when);
-      }
+      if (!shard.heap.empty()) next = std::min(next, shard.heap.front().when);
     }
     if (next == kNoEvent || next > until) {
       stopFlag = true;
@@ -408,34 +476,10 @@ std::uint64_t Simulator::runUntilParallel(SimTime until) {
         for (std::size_t s = worker; s < shardN; s += workerN) {
           ShardState& shard = shards_[s];
           tlsWindow.shardIndex = static_cast<std::uint32_t>(s);
-          while (!shard.queue.empty()) {
-            const HeapEntry entry = shard.queue.top();
-            Slot* slot = &shard.slots[entry.slot];
-            if (slot->gen != entry.gen) {
-              shard.queue.pop();
-              continue;
-            }
-            if (entry.when >= winEnd || entry.when > until) break;
-            shard.queue.pop();
-            shard.localNow = entry.when;
-            tlsWindow.key = slot->destKey;
-            ++shard.fired;
-            if (slot->period > 0) {
-              Callback fn = std::move(slot->fn);
-              fn();
-              slot = &shard.slots[entry.slot];
-              if (slot->gen == entry.gen) {
-                slot->fn = std::move(fn);
-                shard.queue.push(HeapEntry{shard.localNow + slot->period,
-                                           nextStamp(slot->destKey),
-                                           entry.slot, entry.gen});
-              }
-              continue;
-            }
-            Callback fn = std::move(slot->fn);
-            releaseSlot(shard, entry.slot);
-            --shard.live;
-            fn();
+          while (!shard.heap.empty()) {
+            const SimTime when = shard.heap.front().when;
+            if (when >= winEnd || when > until) break;
+            fireHead(shard, tlsWindow.key);
           }
         }
         sync.arrive_and_wait();
@@ -476,7 +520,8 @@ std::uint64_t Simulator::run() {
   for (;;) {
     ShardState* shard = nextShardSerial();
     if (shard == nullptr) break;
-    if (fireNextIn(*shard)) ++count;
+    fireSerial(*shard);
+    ++count;
   }
   currentKey_ = 0;
   return count;
@@ -484,12 +529,14 @@ std::uint64_t Simulator::run() {
 
 bool Simulator::step() {
   ShardState* shard = nextShardSerial();
-  return shard != nullptr && fireNextIn(*shard);
+  if (shard == nullptr) return false;
+  fireSerial(*shard);
+  return true;
 }
 
 bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
-  // Drain a copy of each shard's heap: pops come out (when, stamp)-sorted,
-  // stale entries are skipped, and the live arenas stay untouched.
+  // Every heap entry is live; sorted by the canonical (when, stamp) order
+  // they are the pending events in firing order.
   struct Pending {
     HeapEntry entry;
     SimTime period;
@@ -497,13 +544,9 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
     EventTag tag;
   };
   std::vector<Pending> pending;
-  pending.reserve(pendingEvents());
+  pending.reserve(queuedEntries());
   for (const ShardState& shard : shards_) {
-    std::priority_queue<HeapEntry> copy = shard.queue;
-    while (!copy.empty()) {
-      const HeapEntry entry = copy.top();
-      copy.pop();
-      if (shard.slots[entry.slot].gen != entry.gen) continue;  // cancelled
+    for (const HeapEntry& entry : shard.heap) {
       const EventTag& tag = shard.tags[entry.slot];
       if (!tag.tagged()) {
         if (error != nullptr) {
@@ -516,10 +559,13 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
                                 shard.slots[entry.slot].destKey, tag});
     }
   }
+  std::sort(pending.begin(), pending.end(),
+            [](const Pending& a, const Pending& b) {
+              return a.entry.before(b.entry);
+            });
 
   if (!sharded_) {
-    // Monolithic engine: the legacy byte layout, unchanged (single shard,
-    // so the drain above already produced the canonical order).
+    // Monolithic engine: the legacy byte layout.
     w.section(0x4d495351);  // "QSIM"
     w.i64(now_);
     w.u64(nextSeq_);
@@ -542,15 +588,8 @@ bool Simulator::saveState(snapshot::Writer& w, std::string* error) const {
   }
 
   // Sharded engine: shard-count-independent layout — events carry their
-  // owner key and canonical stamp, sorted by the canonical order, so the
-  // bytes (and any restore) are identical at every shard count.
-  std::sort(pending.begin(), pending.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.entry.when != b.entry.when) {
-                return a.entry.when < b.entry.when;
-              }
-              return a.entry.stamp < b.entry.stamp;
-            });
+  // owner key and canonical stamp in canonical order, so the bytes (and any
+  // restore) are identical at every shard count.
   w.section(0x4d495353);  // "SSIM"
   w.i64(now_);
   w.u64(eventsFired());

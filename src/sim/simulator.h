@@ -7,11 +7,14 @@
 // internals.
 //
 // Storage is a generation-stamped slot arena: callbacks live in recycled
-// slots, the binary heap holds only small POD entries, and an EventHandle is
-// a (slot, generation) pair. cancel() is O(1) slot invalidation — the heap
-// entry turns stale and is skipped when popped — and a handle kept after its
-// event fired can never cancel an unrelated later event that reused the
-// slot, because the generation no longer matches.
+// slots, and each shard keeps an indexed binary min-heap of small POD
+// entries keyed by (when, stamp). Every slot records its heap position, so
+// cancel() erases the entry at once in O(log n) and the heap holds only live
+// events. An EventHandle is a (slot, generation) pair; a handle kept after
+// its event fired can never cancel an unrelated later event that reused the
+// slot, because the generation no longer matches. rescheduleTagged()
+// re-keys a pending one-shot's heap entry in place (new time, fresh stamp);
+// FlowNetwork uses it to re-time flow completions when a fair share changes.
 //
 // Sharded mode (DESIGN.md §13, configureShards): every event is owned by a
 // community key, keys map onto power-of-two shards by masking, and each
@@ -29,7 +32,6 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -158,9 +160,20 @@ class Simulator {
   bool saveState(snapshot::Writer& w, std::string* error) const;
   bool loadState(snapshot::Reader& r);
 
-  // O(1). Releases the event's slot (and, for a periodic series, its state)
-  // immediately; no-op on invalid or stale handles.
+  // O(log n). Removes the event from its shard's heap and releases its slot
+  // (and, for a periodic series, its state) immediately; no-op on invalid or
+  // stale handles.
   void cancel(EventHandle handle);
+
+  // Same effect as cancel(handle) followed by scheduleTagged(delay, tag):
+  // one stamp is drawn, so firing order and snapshots cannot tell the two
+  // apart. When `handle` is a live one-shot carrying the same tag in the
+  // shard of currentKey(), and the call is not inside a parallel window,
+  // the pending entry is moved in place — slot, callback and handle are
+  // kept, and the returned handle equals `handle`. Otherwise it takes the
+  // cancel + schedule path and returns the new handle.
+  EventHandle rescheduleTagged(EventHandle handle, SimTime delay,
+                               const EventTag& tag);
 
   // Runs events until the queue is empty or the clock passes `until`.
   // Events at exactly `until` still run. Returns the number of events fired.
@@ -176,6 +189,9 @@ class Simulator {
   // Live periodic series (cancel releases the series state immediately).
   [[nodiscard]] std::size_t periodicSeries() const;
   [[nodiscard]] std::uint64_t eventsFired() const;
+  // Diagnostic: heap entries summed over shards. Cancellation is eager, so
+  // this always equals pendingEvents(); tests assert it.
+  [[nodiscard]] std::size_t queuedEntries() const;
 
   // Exposes the fired-event count as a pull gauge. The registry must not
   // outlive this simulator.
@@ -185,6 +201,7 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNoFree = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNotQueued = ~std::uint32_t{0};
   // EventHandle slot packing: low bits index the shard arena, high bits
   // name the shard (up to ShardSpec::kMaxShards = 2^8).
   static constexpr std::uint32_t kSlotIndexBits = 24;
@@ -196,10 +213,10 @@ class Simulator {
       (std::uint64_t{1} << kKeySeqBits) - 1;
 
   // Arena slot: owns the callback; `gen` is bumped on every release so
-  // outstanding handles and heap entries for the old occupant go stale.
+  // outstanding handles for the old occupant go stale.
   struct Slot {
     Callback fn;
-    SimTime period = 0;  // > 0: periodic series, re-enqueued after each fire
+    SimTime period = 0;  // > 0: periodic series, re-keyed after each fire
     std::uint32_t gen = 1;
     std::uint32_t nextFree = kNoFree;
     // Owner key the event executes under (always 0 when unsharded).
@@ -208,17 +225,15 @@ class Simulator {
 
   // Heap entries are small PODs; the callback stays in the arena. `stamp`
   // is the canonical tie-break: the global scheduling sequence when
-  // unsharded, (owner key << 40) | per-key sequence when sharded.
+  // unsharded, (owner key << 40) | per-key sequence when sharded. Stamps
+  // are unique, so (when, stamp) is a total order.
   struct HeapEntry {
     SimTime when;
     std::uint64_t stamp;
     std::uint32_t slot;  // arena index within the owning shard
-    std::uint32_t gen;
 
-    // std::priority_queue is a max-heap; invert for earliest-first.
-    bool operator<(const HeapEntry& other) const {
-      if (when != other.when) return when > other.when;
-      return stamp > other.stamp;
+    [[nodiscard]] bool before(const HeapEntry& other) const {
+      return when < other.when || (when == other.when && stamp < other.stamp);
     }
   };
 
@@ -239,7 +254,12 @@ class Simulator {
     std::vector<Slot> slots;
     std::vector<EventTag> tags;
     std::uint32_t freeHead = kNoFree;
-    std::priority_queue<HeapEntry> queue;
+    // Indexed min-heap over the live events; heap.front() fires next.
+    // heapPos[i] is slot i's index in `heap` (kNotQueued while free). It is
+    // kept beside the arena rather than in Slot so sifts touch a dense
+    // array.
+    std::vector<HeapEntry> heap;
+    std::vector<std::uint32_t> heapPos;
     // Clock of the event this shard is currently executing (parallel
     // windows let shards advance independently inside a window).
     SimTime localNow = 0;
@@ -251,13 +271,27 @@ class Simulator {
     std::uint64_t belowFloor = 0;
     // Parallel-window mailbox for cross-shard posts made by this shard.
     std::vector<CrossEvent> outbox;
+
+    void push(const HeapEntry& entry);
+    void erase(std::uint32_t pos);
+    // Overwrites heap[pos] with `entry` and restores heap order: re-keys an
+    // event when entry.slot is the one at `pos`, fills a hole otherwise.
+    void replace(std::uint32_t pos, const HeapEntry& entry);
+    void siftUp(std::uint32_t pos, const HeapEntry& entry);
+    void siftDown(std::uint32_t pos, const HeapEntry& entry);
   };
 
   [[nodiscard]] ShardState& shardForKey(std::uint32_t key) {
     return shards_[sharded_ ? plan_.shardOf(key) : 0];
   }
   [[nodiscard]] std::uint64_t nextStamp(std::uint32_t srcKey);
-  bool fireNextIn(ShardState& shard);
+  // Runs the head event of `shard`: a one-shot leaves the heap first, a
+  // periodic series is re-keyed after its callback. `ambientKey` is the
+  // owner-key variable the running event reads: currentKey_ on the serial
+  // paths, the worker's thread-local key inside a parallel window.
+  void fireHead(ShardState& shard, std::uint32_t& ambientKey);
+  // fireHead on the serial paths: advances the global clock first.
+  void fireSerial(ShardState& shard);
   // Serial paths: picks the canonically next shard across all queues.
   ShardState* nextShardSerial();
   EventHandle enqueue(SimTime when, Callback fn, SimTime period,
@@ -267,8 +301,6 @@ class Simulator {
                              const EventTag& tag, std::uint32_t destKey);
   std::uint32_t allocSlot(ShardState& shard);
   void releaseSlot(ShardState& shard, std::uint32_t index);
-  // Discards cancelled entries so queue.top(), when present, is live.
-  static void purgeStale(ShardState& shard);
   std::uint64_t runUntilSerial(SimTime until);
   std::uint64_t runUntilParallel(SimTime until);
 

@@ -171,6 +171,63 @@ TEST_F(FlowBatchTest, BatchedStartsMatchUnbatchedCompletionTimes) {
   EXPECT_EQ(eager, deferred);  // exact, not approximate
 }
 
+// Forwards to the flow network's factory and counts the callbacks built, so
+// a test can tell an in-place move (no rebuild) from cancel + re-arm.
+class CountingFactory : public sim::EventFactory {
+ public:
+  explicit CountingFactory(sim::EventFactory& inner) : inner_(inner) {}
+  sim::Callback rebuild(const sim::EventTag& tag) override {
+    ++rebuilds;
+    return inner_.rebuild(tag);
+  }
+  void discard(const sim::EventTag& tag) override { inner_.discard(tag); }
+  std::uint64_t rebuilds = 0;
+
+ private:
+  sim::EventFactory& inner_;
+};
+
+TEST_F(FlowBatchTest, RateChangesLeaveNoStaleQueueEntries) {
+  // 64 flows share one uplink, so every membership change re-times every
+  // surviving flow's completion. Each re-time moves the pending event and
+  // cancellation is eager, so the simulator's heap holds exactly one entry
+  // per live event throughout; a lazy cancel would leave one stale entry per
+  // re-time until its firing time passed.
+  CountingFactory counting(*sim_.factory(sim::Component::kFlow));
+  sim_.registerFactory(sim::Component::kFlow, &counting);
+  const EndpointId hub = endpoint(0);
+  constexpr std::uint32_t kFlows = 64;
+  std::vector<FlowId> live;
+  for (std::uint32_t i = 1; i <= kFlows; ++i) {
+    live.push_back(flows_.startFlow(hub, endpoint(i), 4'000'000));
+    ASSERT_EQ(sim_.queuedEntries(), sim_.pendingEvents());
+  }
+  const std::uint64_t before = flows_.rateRecomputations();
+  for (std::uint32_t change = 0; change < 200; ++change) {
+    // Alternate a departure and an arrival; the arrival reuses the
+    // departed flow's downloader, so the hub always carries 63-64 flows.
+    const std::size_t victim = (change * 37) % live.size();
+    if (change % 2 == 0) {
+      flows_.cancelFlow(live[victim]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else {
+      live.push_back(flows_.startFlow(
+          hub, EndpointId{1 + (change * 37) % kFlows}, 4'000'000));
+    }
+    ASSERT_EQ(sim_.queuedEntries(), sim_.pendingEvents()) << change;
+    ASSERT_EQ(sim_.pendingEvents(), flows_.activeFlows()) << change;
+    sim_.runUntil(sim_.now() + sim::kMillisecond);
+  }
+  // Every change re-timed every flow still at the hub.
+  EXPECT_GE(flows_.rateRecomputations() - before, 200u * (kFlows - 1));
+  sim_.run();
+  EXPECT_EQ(flows_.activeFlows(), 0u);
+  EXPECT_EQ(sim_.queuedEntries(), 0u);
+  // One callback per flow started (64 + 100 arrivals); the ~12,600 re-times
+  // moved the pending event in place without building a new one.
+  EXPECT_EQ(counting.rebuilds, kFlows + 100u);
+}
+
 TEST_F(FlowBatchTest, NestedBatchesDeferUntilTheOutermostCommit) {
   const EndpointId a = endpoint(0);
   const EndpointId b = endpoint(1);

@@ -1,12 +1,16 @@
 // Property test for the slotted scheduler: random schedule / cancel /
-// periodic sequences are replayed against a naive reference model (a flat
-// list of (when, seq) records scanned linearly), and the firing order, fired
-// tags, clock monotonicity and live-event accounting must agree exactly.
+// reschedule / periodic sequences are replayed against a naive reference
+// model (a flat list of (when, seq) records scanned linearly), and the firing
+// order, fired tags, clock monotonicity and live-event accounting must agree
+// exactly.
 //
 // The reference model encodes the scheduler's determinism contract:
 //  * events fire in (when, seq) order, seq assigned per enqueue — including
 //    the re-enqueue of a periodic series after each fire;
-//  * cancel is exact and immediate (stale handles are no-ops);
+//  * cancel is exact and immediate (stale handles are no-ops), so the heap
+//    never holds more entries than there are live events;
+//  * rescheduleTagged is cancel + a fresh one-shot with a new seq, whether
+//    the scheduler moves the entry in place or falls back;
 //  * the clock never moves backwards and equals the firing event's time.
 #include <gtest/gtest.h>
 
@@ -33,6 +37,12 @@ class ReferenceScheduler {
   // Stale cancels (fired one-shots, already-cancelled ids) are no-ops,
   // mirroring the generation-stamp semantics of the real scheduler.
   void cancel(std::size_t id) { events_[id].alive = false; }
+
+  // The model of rescheduleTagged: cancel, then a fresh one-shot.
+  std::size_t reschedule(std::size_t id, SimTime when, int tag) {
+    cancel(id);
+    return add(when, tag, 0);
+  }
 
   // Fires everything with when <= until, appending tags to `order`.
   void runUntil(SimTime until, std::vector<int>& order) {
@@ -78,6 +88,8 @@ class ReferenceScheduler {
     return events_[id].period > 0;
   }
 
+  [[nodiscard]] int tagOf(std::size_t id) const { return events_[id].tag; }
+
  private:
   struct Event {
     SimTime when;
@@ -92,6 +104,35 @@ class ReferenceScheduler {
   SimTime now_ = 0;
 };
 
+// Factory for the tagged events: tag.a carries the model tag, and the
+// rebuilt callback records the firing exactly like the untagged lambdas.
+class Recorder final : public EventFactory {
+ public:
+  Recorder(const Simulator& sim, std::vector<int>& order)
+      : sim_(sim), order_(order) {}
+  [[nodiscard]] Callback rebuild(const EventTag& tag) override {
+    const int value = static_cast<int>(tag.a);
+    return [this, value] { record(value); };
+  }
+  void record(int tag) {
+    if (sim_.now() < lastFireTime_) monotone_ = false;
+    lastFireTime_ = sim_.now();
+    order_.push_back(tag);
+  }
+  [[nodiscard]] bool monotone() const { return monotone_; }
+
+ private:
+  const Simulator& sim_;
+  std::vector<int>& order_;
+  SimTime lastFireTime_ = 0;
+  bool monotone_ = true;
+};
+
+EventTag modelTag(int tag) {
+  return makeTag(Component::kSession, /*kind=*/1,
+                 static_cast<std::uint64_t>(tag));
+}
+
 void runRandomSequence(std::uint64_t seed, int ops) {
   Rng rng(seed);
   Simulator sim;
@@ -99,23 +140,20 @@ void runRandomSequence(std::uint64_t seed, int ops) {
 
   std::vector<int> simOrder;
   std::vector<int> modelOrder;
+  Recorder recorder(sim, simOrder);
+  sim.registerFactory(Component::kSession, &recorder);
   std::vector<std::pair<EventHandle, std::size_t>> handles;  // sim, model
   int nextTag = 0;
-  SimTime lastFireTime = 0;
-  bool monotone = true;
 
   for (int op = 0; op < ops; ++op) {
-    switch (rng.uniformInt(6)) {
+    switch (rng.uniformInt(9)) {
       case 0:
       case 1: {  // one-shot, relative delay (0 included: same-time FIFO)
         const SimTime delay = static_cast<SimTime>(rng.uniformInt(50));
         const int tag = nextTag++;
         handles.emplace_back(sim.schedule(delay,
-                                          [&, tag] {
-                                            if (sim.now() < lastFireTime)
-                                              monotone = false;
-                                            lastFireTime = sim.now();
-                                            simOrder.push_back(tag);
+                                          [&recorder, tag] {
+                                            recorder.record(tag);
                                           }),
                              model.add(sim.now() + delay, tag, 0));
         break;
@@ -125,11 +163,8 @@ void runRandomSequence(std::uint64_t seed, int ops) {
             sim.now() + static_cast<SimTime>(rng.uniformInt(50));
         const int tag = nextTag++;
         handles.emplace_back(sim.scheduleAt(when,
-                                            [&, tag] {
-                                              if (sim.now() < lastFireTime)
-                                                monotone = false;
-                                              lastFireTime = sim.now();
-                                              simOrder.push_back(tag);
+                                            [&recorder, tag] {
+                                              recorder.record(tag);
                                             }),
                              model.add(when, tag, 0));
         break;
@@ -138,12 +173,8 @@ void runRandomSequence(std::uint64_t seed, int ops) {
         const SimTime period = 1 + static_cast<SimTime>(rng.uniformInt(20));
         const int tag = nextTag++;
         handles.emplace_back(sim.schedulePeriodic(period,
-                                                  [&, tag] {
-                                                    if (sim.now() <
-                                                        lastFireTime)
-                                                      monotone = false;
-                                                    lastFireTime = sim.now();
-                                                    simOrder.push_back(tag);
+                                                  [&recorder, tag] {
+                                                    recorder.record(tag);
                                                   }),
                              model.add(sim.now() + period, tag, period));
         break;
@@ -172,7 +203,36 @@ void runRandomSequence(std::uint64_t seed, int ops) {
         ASSERT_EQ(sim.periodicSeries(), model.livePeriodic())
             << "periodic-count divergence after op " << op << " (seed "
             << seed << ")";
+        ASSERT_EQ(sim.queuedEntries(), sim.pendingEvents())
+            << "stale heap entries after op " << op << " (seed " << seed
+            << ")";
         ASSERT_EQ(sim.now(), until);
+        break;
+      }
+      case 6: {  // tagged one-shot: the kind rescheduleTagged can move
+        const SimTime delay = static_cast<SimTime>(rng.uniformInt(50));
+        const int tag = nextTag++;
+        handles.emplace_back(sim.scheduleTagged(delay, modelTag(tag)),
+                             model.add(sim.now() + delay, tag, 0));
+        break;
+      }
+      case 7: {  // tagged periodic series: must never be moved in place
+        const SimTime period = 1 + static_cast<SimTime>(rng.uniformInt(20));
+        const int tag = nextTag++;
+        handles.emplace_back(sim.schedulePeriodicTagged(period, modelTag(tag)),
+                             model.add(sim.now() + period, tag, period));
+        break;
+      }
+      case 8: {  // reschedule a random handle — live, fired, cancelled,
+                 // untagged or periodic; usually under its own tag, so live
+                 // tagged one-shots move in place
+        if (handles.empty()) break;
+        auto& [handle, modelId] = handles[rng.uniformInt(handles.size())];
+        const int tag =
+            rng.uniformInt(4) == 0 ? nextTag++ : model.tagOf(modelId);
+        const SimTime delay = static_cast<SimTime>(rng.uniformInt(50));
+        handle = sim.rescheduleTagged(handle, delay, modelTag(tag));
+        modelId = model.reschedule(modelId, sim.now() + delay, tag);
         break;
       }
     }
@@ -188,9 +248,10 @@ void runRandomSequence(std::uint64_t seed, int ops) {
   sim.run();
   model.runUntil(std::numeric_limits<SimTime>::max() / 2, modelOrder);
   EXPECT_EQ(simOrder, modelOrder) << "final drain divergence, seed " << seed;
-  EXPECT_TRUE(monotone) << "clock moved backwards, seed " << seed;
+  EXPECT_TRUE(recorder.monotone()) << "clock moved backwards, seed " << seed;
   EXPECT_EQ(sim.pendingEvents(), 0u);
   EXPECT_EQ(sim.periodicSeries(), 0u);
+  EXPECT_EQ(sim.queuedEntries(), 0u);
 }
 
 TEST(SchedulerProperty, MatchesReferenceModelAcrossSeeds) {
