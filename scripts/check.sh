@@ -20,8 +20,8 @@
 #   scripts/check.sh . 8        # everything, 8 jobs
 #
 # Sibling of scripts/sanitize.sh; each mode gets its own build tree
-# (build-trace-on/, build-trace-off/, build-asan-ubsan/) so toggling
-# options never reuses stale objects.
+# (build-trace-on/, build-trace-off/, build-debug/, build-asan-ubsan/) so
+# toggling options never reuses stale objects.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # shellcheck source=scripts/labels.sh
@@ -43,6 +43,18 @@ for MODE in ON OFF; do
   cmake --build "$BUILD_DIR" -j "$JOBS"
   ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure -j "$JOBS"
 done
+
+# Every tree above builds RelWithDebInfo, whose flags carry -DNDEBUG, so
+# the assert()s in src/sim and src/net never run there. A Debug tree runs
+# them over the engine-level labels: the scheduler's heap positions and
+# slot packing, and the flow solver's per-side invariants (a side's work
+# clock only moves forward, every active flow is bound to exactly one side,
+# and a side with bound flows has exactly one pending completion event).
+echo "=== Debug, asserts on (build-debug) ==="
+cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+cmake --build build-debug -j "$JOBS"
+ctest --test-dir build-debug -L "$ST_LABELS_DEBUG" --output-on-failure \
+  -j "$JOBS"
 
 # Smoke the flow microbenchmark (1 iteration, output discarded): the
 # in-binary eager-solver replica cross-checks its completion and byte

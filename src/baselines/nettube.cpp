@@ -25,6 +25,7 @@ NetTubeSystem::NetTubeSystem(vod::SystemContext& ctx,
       downloads_(ctx, transfers, sim::Component::kNetTube, kServerWatch) {
   overlays_.resize(ctx.catalog().userCount());
   probeTimer_.resize(ctx.catalog().userCount());
+  neighborStamp_.resize(ctx.catalog().userCount(), 0);
   cache_.reserve(ctx.catalog().userCount());
   for (std::size_t i = 0; i < ctx.catalog().userCount(); ++i) {
     cache_.emplace_back(ctx.config().cacheCapacityVideos,
@@ -113,13 +114,16 @@ void NetTubeSystem::discard(const sim::EventTag& tag) {
 void NetTubeSystem::onRestored(const sim::EventTag& tag,
                                sim::EventHandle handle) {
   switch (tag.kind) {
+    // A damaged snapshot can name a user or search that does not exist;
+    // such an event is left without an owner.
     case kProbeEvent:
-      probeTimer_[UserId{lo32(tag.a)}.index()] = handle;
+      if (lo32(tag.a) < probeTimer_.size()) {
+        probeTimer_[UserId{lo32(tag.a)}.index()] = handle;
+      }
       break;
     case kAskDirectory: {
       vod::SearchRecord* search = searches_.find(tag.a);
-      assert(search != nullptr && "deadline for a search not in the pool");
-      search->deadline = handle;
+      if (search != nullptr) search->deadline = handle;
       break;
     }
     default:
@@ -149,10 +153,19 @@ vod::VodSystem::NodeStats NetTubeSystem::nodeStats(UserId user) const {
 
 std::vector<UserId> NetTubeSystem::allNeighbors(
     const Overlays& overlays) const {
+  // One stamp per call marks the users already listed: O(links) instead of
+  // a linear search per link, same first-occurrence order.
+  if (++neighborEpoch_ == 0) {
+    std::fill(neighborStamp_.begin(), neighborStamp_.end(), 0);
+    neighborEpoch_ = 1;
+  }
   std::vector<UserId> result;
   for (const auto& [video, links] : overlays) {
     for (const UserId n : links) {
-      if (!contains(result, n)) result.push_back(n);
+      std::uint32_t& stamp = neighborStamp_[n.index()];
+      if (stamp == neighborEpoch_) continue;
+      stamp = neighborEpoch_;
+      result.push_back(n);
     }
   }
   return result;

@@ -132,6 +132,10 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   std::vector<Overlays> overlays_;
   std::vector<vod::VideoCache> cache_;
   std::vector<sim::EventHandle> probeTimer_;
+  // allNeighbors() dedup marks: a user is listed when its stamp equals the
+  // call's epoch (scratch, not serialized).
+  mutable std::vector<std::uint32_t> neighborStamp_;
+  mutable std::uint32_t neighborEpoch_ = 0;
   vod::SearchBook<vod::SearchRecord> searches_;
   vod::DownloadDriver downloads_;
 };

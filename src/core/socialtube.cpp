@@ -189,15 +189,18 @@ void SocialTubeSystem::discard(const sim::EventTag& tag) {
 void SocialTubeSystem::onRestored(const sim::EventTag& tag,
                                   sim::EventHandle handle) {
   switch (tag.kind) {
+    // A damaged snapshot can name a user or search that does not exist;
+    // such an event is left without an owner.
     case kProbeEvent:
-      store_.probeTimer(UserId{lo32(tag.a)}) = handle;
+      if (lo32(tag.a) < ctx_.catalog().userCount()) {
+        store_.probeTimer(UserId{lo32(tag.a)}) = handle;
+      }
       break;
     case kEnterCategory:
     case kFallbackEvent:
     case kRetryEvent: {
       Search* search = searches_.find(tag.a);
-      assert(search != nullptr && "deadline for a search not in the pool");
-      search->deadline = handle;
+      if (search != nullptr) search->deadline = handle;
       break;
     }
     default:

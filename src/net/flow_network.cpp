@@ -2,14 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace st::net {
 
 namespace {
-// A flow is considered delivered when less than one byte remains; guards
-// against floating-point residue keeping flows alive forever.
-constexpr double kEpsilonBytes = 0.5;
 // Tolerance when comparing a fair-share rate against the playback floor.
 constexpr double kRateEpsilon = 1e-9;
 
@@ -76,6 +72,26 @@ FlowNetwork::Slot FlowNetwork::slotOf(FlowId id) const {
   return it == index_.end() ? Slot{0} : it->second;  // 0 is never a live slot
 }
 
+FlowNetwork::Side& FlowNetwork::side(std::uint32_t index) {
+  EndpointState& state = endpoints_[index / 2];
+  return (index & 1) != 0 ? state.down : state.up;
+}
+
+const FlowNetwork::Side& FlowNetwork::side(std::uint32_t index) const {
+  const EndpointState& state = endpoints_[index / 2];
+  return (index & 1) != 0 ? state.down : state.up;
+}
+
+std::size_t FlowNetwork::memberCount(std::uint32_t index) const {
+  const EndpointState& state = endpoints_[index / 2];
+  return (index & 1) != 0 ? state.downloads.size() : state.uploads.size();
+}
+
+double FlowNetwork::capacityOf(std::uint32_t index) const {
+  const EndpointCapacity& capacity = endpoints_[index / 2].capacity;
+  return (index & 1) != 0 ? capacity.downloadBps : capacity.uploadBps;
+}
+
 double FlowNetwork::fairRate(const Flow& flow) const {
   const EndpointState& src = endpoints_[flow.src.index()];
   const EndpointState& dst = endpoints_[flow.dst.index()];
@@ -87,132 +103,334 @@ double FlowNetwork::fairRate(const Flow& flow) const {
   return std::min(up, down);
 }
 
-void FlowNetwork::settle(Flow& flow) {
-  if (flow.queued || flow.paused) {
-    flow.lastUpdate = sim_.now();
-    return;  // queued/paused flows make no progress
-  }
-  const sim::SimTime now = sim_.now();
-  if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-    const double elapsedSeconds = sim::toSeconds(now - flow.lastUpdate);
-    flow.bytesRemaining =
-        std::max(0.0, flow.bytesRemaining - flow.rateBps / 8.0 * elapsedSeconds);
-  }
-  flow.lastUpdate = now;
+FlowNetwork::Binding FlowNetwork::bindingFor(const Flow& flow) const {
+  return side(upSide(flow.src)).share <= side(downSide(flow.dst)).share
+             ? Binding::kUpload
+             : Binding::kDownload;
 }
 
-void FlowNetwork::reschedule(Flow& flow) {
-  flow.rateBps = fairRate(flow);
-  if (flow.rateBps <= 0.0) {
-    // Zero-capacity endpoint: flow stalls until topology changes again. The
-    // caller is expected to give every endpoint nonzero capacity, but a
-    // stalled flow must not schedule a completion at time infinity.
-    sim_.cancel(flow.completion);
-    flow.completion = sim::EventHandle{};
+// --- side clocks -------------------------------------------------------------
+
+double FlowNetwork::workNow(const Side& s) const {
+  const sim::SimTime now = sim_.now();
+  if (now <= s.clockAt) return s.work;
+  return s.work + s.share * sim::toSeconds(now - s.clockAt);
+}
+
+double FlowNetwork::remainingBytes(const Flow& flow) const {
+  assert(flow.binding != Binding::kNone);
+  return std::max(0.0, flow.finishWork - workNow(side(boundSide(flow)))) /
+         8.0;
+}
+
+void FlowNetwork::bind(Slot slot, Flow& flow, Binding to) {
+  assert(flow.binding == Binding::kNone && !flow.queued && !flow.paused);
+  flow.binding = to;
+  const std::uint32_t home = boundSide(flow);
+  const std::uint32_t away = otherSide(flow);
+  Side& s = side(home);
+  flow.finishWork = workNow(s) + 8.0 * flow.bytesRemaining;
+  heapPush(s.byFinish, &Flow::finishPos,
+           {flow.finishWork, flow.id.value(), slot});
+  heapPush(s.byOther, &Flow::otherPos,
+           {side(away).share, flow.id.value(), slot});
+  std::vector<Slot>& foreign = side(away).foreign;
+  flow.foreignPos = static_cast<std::uint32_t>(foreign.size());
+  foreign.push_back(slot);
+  markRetime(home);
+  ++rateRecomputations_;
+}
+
+void FlowNetwork::unbind(Flow& flow) {
+  if (flow.binding == Binding::kNone) return;
+  const std::uint32_t home = boundSide(flow);
+  Side& s = side(home);
+  flow.bytesRemaining = remainingBytes(flow);
+  heapErase(s.byFinish, &Flow::finishPos, flow.finishPos);
+  heapErase(s.byOther, &Flow::otherPos, flow.otherPos);
+  std::vector<Slot>& foreign = side(otherSide(flow)).foreign;
+  const Slot last = foreign.back();
+  foreign[flow.foreignPos] = last;
+  flows_.find(last)->foreignPos = flow.foreignPos;
+  foreign.pop_back();
+  flow.binding = Binding::kNone;
+  markRetime(home);
+}
+
+void FlowNetwork::rebind(Slot slot, Flow& flow, Binding to) {
+  unbind(flow);
+  bind(slot, flow, to);
+}
+
+void FlowNetwork::markDirty(std::uint32_t sideIndex) {
+  // Mutations only happen under a batch (every public mutator opens an
+  // implicit one), so a mark can never be dropped on the floor.
+  assert(batchDepth_ > 0);
+  Side& s = side(sideIndex);
+  if (s.dirty) return;
+  s.dirty = true;
+  dirtyList_.push_back(sideIndex);
+}
+
+void FlowNetwork::markRetime(std::uint32_t sideIndex) {
+  Side& s = side(sideIndex);
+  if (s.retimeQueued) return;
+  s.retimeQueued = true;
+  retimeList_.push_back(sideIndex);
+}
+
+void FlowNetwork::retime(std::uint32_t sideIndex) {
+  Side& s = side(sideIndex);
+  const bool membershipChanged = s.dirty;
+  s.dirty = false;
+  s.retimeQueued = false;
+  // Every member is bound either here or at its other side, exactly once.
+  assert(s.byFinish.size() + s.foreign.size() == memberCount(sideIndex));
+  if (s.byFinish.empty()) {
+    sim_.cancel(s.completion);
+    s.completion = sim::EventHandle{};
+    // Nothing refers to this clock any more: rebase it so W stays small.
+    s.work = 0.0;
+    s.clockAt = sim_.now();
     return;
   }
-  const double seconds = flow.bytesRemaining * 8.0 / flow.rateBps;
-  const auto delay =
-      std::max<sim::SimTime>(sim::fromSeconds(seconds), 0);
+  if (membershipChanged) ++rateRecomputations_;
+  if (s.share <= 0.0) {
+    // Zero-capacity side: its flows stall until the topology changes. The
+    // caller is expected to give every endpoint nonzero capacity, but a
+    // stalled side must not schedule a completion at time infinity.
+    sim_.cancel(s.completion);
+    s.completion = sim::EventHandle{};
+    return;
+  }
+  const double seconds = (s.byFinish.front().key - workNow(s)) / s.share;
+  const auto delay = std::max<sim::SimTime>(sim::fromSeconds(seconds), 0);
   // Moves the pending completion in place (or arms the first one).
-  flow.completion = sim_.rescheduleTagged(
-      flow.completion, delay,
-      sim::makeTag(sim::Component::kFlow, kFinishEvent, flow.id.value()));
+  s.completion = sim_.rescheduleTagged(
+      s.completion, delay,
+      sim::makeTag(sim::Component::kFlow, kSideFinishEvent, sideIndex));
+  assert(sim_.isPending(s.completion));
 }
 
+// --- indexed heaps -----------------------------------------------------------
+
+void FlowNetwork::heapPlace(std::vector<HeapEntry>& heap, FlowPos pos,
+                            std::uint32_t at, const HeapEntry& entry) {
+  heap[at] = entry;
+  flows_.find(entry.slot)->*pos = at;
+}
+
+void FlowNetwork::siftUp(std::vector<HeapEntry>& heap, FlowPos pos,
+                         std::uint32_t at, const HeapEntry& entry) {
+  while (at > 0) {
+    const std::uint32_t parent = (at - 1) / 2;
+    if (!entry.before(heap[parent])) break;
+    heapPlace(heap, pos, at, heap[parent]);
+    at = parent;
+  }
+  heapPlace(heap, pos, at, entry);
+}
+
+void FlowNetwork::siftDown(std::vector<HeapEntry>& heap, FlowPos pos,
+                           std::uint32_t at, const HeapEntry& entry) {
+  const auto size = static_cast<std::uint32_t>(heap.size());
+  while (true) {
+    std::uint32_t child = 2 * at + 1;
+    if (child >= size) break;
+    if (child + 1 < size && heap[child + 1].before(heap[child])) ++child;
+    if (!heap[child].before(entry)) break;
+    heapPlace(heap, pos, at, heap[child]);
+    at = child;
+  }
+  heapPlace(heap, pos, at, entry);
+}
+
+void FlowNetwork::heapPush(std::vector<HeapEntry>& heap, FlowPos pos,
+                           const HeapEntry& entry) {
+  heap.push_back(entry);
+  siftUp(heap, pos, static_cast<std::uint32_t>(heap.size() - 1), entry);
+}
+
+void FlowNetwork::heapErase(std::vector<HeapEntry>& heap, FlowPos pos,
+                            std::uint32_t at) {
+  assert(at < heap.size());
+  const HeapEntry last = heap.back();
+  heap.pop_back();
+  if (at == heap.size()) return;
+  // Fill the hole with the last entry and restore order in either direction.
+  if (at > 0 && last.before(heap[(at - 1) / 2])) {
+    siftUp(heap, pos, at, last);
+  } else {
+    siftDown(heap, pos, at, last);
+  }
+}
+
+void FlowNetwork::heapRekey(std::vector<HeapEntry>& heap, FlowPos pos,
+                            std::uint32_t at, double key) {
+  HeapEntry entry = heap[at];
+  if (entry.key == key) return;
+  entry.key = key;
+  if (at > 0 && entry.before(heap[(at - 1) / 2])) {
+    siftUp(heap, pos, at, entry);
+  } else {
+    siftDown(heap, pos, at, entry);
+  }
+}
+
+// --- events and batches ------------------------------------------------------
+
 sim::Callback FlowNetwork::rebuild(const sim::EventTag& tag) {
-  assert(tag.kind == kFinishEvent);
-  const FlowId id{static_cast<std::uint32_t>(tag.a)};
-  return [this, id] { finish(id); };
+  assert(tag.kind == kSideFinishEvent);
+  const auto sideIndex = static_cast<std::uint32_t>(tag.a);
+  return [this, sideIndex] { finishSide(sideIndex); };
 }
 
 void FlowNetwork::onRestored(const sim::EventTag& tag,
                              sim::EventHandle handle) {
-  assert(tag.kind == kFinishEvent);
-  Flow* flow = flows_.find(slotOf(FlowId{static_cast<std::uint32_t>(tag.a)}));
-  assert(flow != nullptr);
-  flow->completion = handle;
+  assert(tag.kind == kSideFinishEvent);
+  if (tag.a >= 2 * endpoints_.size()) return;
+  side(static_cast<std::uint32_t>(tag.a)).completion = handle;
 }
 
 void FlowNetwork::beginBatch() { ++batchDepth_; }
 
 void FlowNetwork::applyBatch() {
   assert(batchDepth_ > 0);
-  if (--batchDepth_ == 0 && !dirtyList_.empty()) drain();
-}
-
-void FlowNetwork::markDirty(EndpointId endpoint) {
-  // Mutations only happen under a batch (every public mutator opens an
-  // implicit one), so a mark can never be dropped on the floor.
-  assert(batchDepth_ > 0);
-  dirtyList_.push_back(endpoint);
+  if (--batchDepth_ == 0 &&
+      (!dirtyList_.empty() || !retimeList_.empty() || !pendingBind_.empty())) {
+    drain();
+  }
 }
 
 void FlowNetwork::drain() {
-  ++drainEpoch_;
-  // Dedup endpoints keeping each one's LAST mark: walking backwards and
-  // reversing yields endpoints ordered by last occurrence. The eager solver
-  // refreshed an endpoint on every mutation touching it; only its final
-  // refresh determined the surviving completion events, and that final
-  // refresh used the endpoint's final membership — which is exactly what we
-  // read here, in the same relative order.
-  drainEndpoints_.clear();
-  for (std::size_t i = dirtyList_.size(); i-- > 0;) {
-    EndpointState& state = endpoints_[dirtyList_[i].index()];
-    if (state.dirtyStamp == drainEpoch_) continue;
-    state.dirtyStamp = drainEpoch_;
-    drainEndpoints_.push_back(dirtyList_[i]);
+  // 1. Each dirty side's clock runs at its old share up to now; then it
+  //    takes the share its new membership gives it.
+  const sim::SimTime now = sim_.now();
+  for (const std::uint32_t index : dirtyList_) {
+    Side& s = side(index);
+    const double work = workNow(s);
+    assert(work >= s.work);  // W is monotone between rebases
+    s.work = work;
+    s.clockAt = std::max(s.clockAt, now);
+    const std::size_t members = memberCount(index);
+    s.share =
+        members == 0 ? 0.0 : capacityOf(index) / static_cast<double>(members);
+    markRetime(index);
   }
-  std::reverse(drainEndpoints_.begin(), drainEndpoints_.end());
+  // 2. A flow foreign at a dirty side is keyed by that side's share in its
+  //    binding side's byOther heap; make every key current before any flip
+  //    is decided.
+  for (const std::uint32_t index : dirtyList_) {
+    const Side& s = side(index);
+    for (const Slot slot : s.foreign) {
+      const Flow& flow = *flows_.find(slot);
+      heapRekey(side(boundSide(flow)).byOther, &Flow::otherPos, flow.otherPos,
+                s.share);
+    }
+  }
+  // 3. Binding flips. Only flows with a dirty side can flip: those foreign
+  //    at a dirty side that now undercuts their binding side, and those bound
+  //    to a dirty side that the other side now undercuts (the byOther heap
+  //    hands them out smallest other-share first). The final bindings are a
+  //    function of the final shares alone, so the pass order does not matter.
+  for (const std::uint32_t index : dirtyList_) {
+    Side& s = side(index);
+    const bool isUpload = (index & 1) == 0;
+    const Binding here = isUpload ? Binding::kUpload : Binding::kDownload;
+    const Binding there = isUpload ? Binding::kDownload : Binding::kUpload;
+    flips_.clear();
+    for (const Slot slot : s.foreign) {
+      if (bindingFor(*flows_.find(slot)) == here) flips_.push_back(slot);
+    }
+    for (const Slot slot : flips_) rebind(slot, *flows_.find(slot), here);
+    // Upload-bound flows leave when the download share drops strictly
+    // below; download-bound ones when the upload share ties or undercuts.
+    while (!s.byOther.empty() &&
+           (isUpload ? s.byOther.front().key < s.share
+                     : s.byOther.front().key <= s.share)) {
+      const Slot slot = s.byOther.front().slot;
+      rebind(slot, *flows_.find(slot), there);
+    }
+  }
   dirtyList_.clear();
-  // Same trick per flow: a flow at two dirty endpoints was refreshed last by
-  // the later endpoint's pass, and within one endpoint's pass uploads come
-  // before downloads.
-  drainMembers_.clear();
-  for (const EndpointId endpoint : drainEndpoints_) {
-    const EndpointState& state = endpoints_[endpoint.index()];
-    drainMembers_.insert(drainMembers_.end(), state.uploads.begin(),
-                         state.uploads.end());
-    drainMembers_.insert(drainMembers_.end(), state.downloads.begin(),
-                         state.downloads.end());
+  // 4. Flows activated in this batch (skipping any that were paused or
+  //    removed again before the commit).
+  for (const Slot slot : pendingBind_) {
+    Flow* flow = flows_.find(slot);
+    if (flow == nullptr || flow->queued || flow->paused ||
+        flow->binding != Binding::kNone) {
+      continue;
+    }
+    bind(slot, *flow, bindingFor(*flow));
   }
-  drainOrder_.clear();
-  for (std::size_t i = drainMembers_.size(); i-- > 0;) {
-    Flow* flow = flows_.find(drainMembers_[i]);
-    assert(flow != nullptr);
-    if (flow->drainStamp == drainEpoch_) continue;
-    flow->drainStamp = drainEpoch_;
-    drainOrder_.push_back(drainMembers_[i]);
+  pendingBind_.clear();
+  // 5. Re-time in side order: stamps drawn here break same-instant ties
+  //    between sides, so they must not depend on the order of marks.
+  std::sort(retimeList_.begin(), retimeList_.end());
+  for (const std::uint32_t index : retimeList_) retime(index);
+  retimeList_.clear();
+}
+
+void FlowNetwork::finishSide(std::uint32_t sideIndex) {
+  if (sideIndex >= 2 * endpoints_.size()) return;
+  Side& s = side(sideIndex);
+  s.completion = sim::EventHandle{};  // this event is the one firing
+  if (s.byFinish.empty()) return;
+  // The earliest flow finishes, and with it every flow whose own event would
+  // have been scheduled for this same microsecond.
+  const double work = workNow(s);
+  const auto dueNow = [&](double finishWork) {
+    return sim::fromSeconds((finishWork - work) / s.share) <= 0;
+  };
+  // Reuses the scratch vector's capacity; swapped out for the call, so a
+  // handler below can never see it half-used.
+  std::vector<Completed> done;
+  done.swap(completed_);
+  done.clear();
+  do {
+    const HeapEntry top = s.byFinish.front();
+    done.push_back({FlowId{top.id}, top.slot, {}});
+    unbind(*flows_.find(top.slot));
+  } while (!s.byFinish.empty() && dueNow(s.byFinish.front().key));
+  std::sort(done.begin(), done.end(),
+            [](const Completed& a, const Completed& b) { return a.id < b.id; });
+  beginBatch();
+  for (Completed& c : done) {
+    c.tag = removeFlow(c.slot, /*completed=*/true).completionTag;
   }
-  for (std::size_t i = drainOrder_.size(); i-- > 0;) {
-    Flow& flow = *flows_.find(drainOrder_[i]);
-    // The deferred settle is exact: rateBps was the flow's rate over the
-    // whole [lastUpdate, now] span, because batches never span simulated
-    // time — membership changed "now", so the old rate governed everything
-    // up to now and the new rate has had zero seconds to act.
-    settle(flow);
-    reschedule(flow);
-    ++rateRecomputations_;
+  // Observers and tags run inside the completion's batch: the follow-up
+  // flows they start (the next chunk, usually at the same endpoints) settle
+  // in the same drain as the completions.
+  for (const Completed& c : done) {
+    for (FlowObserver* observer : observers_) observer->onFlowCompleted(c.id);
+    if (c.tag.tagged()) sim_.invokeTagged(c.tag);
   }
+  applyBatch();
+  done.swap(completed_);
+}
+
+std::size_t FlowNetwork::boundSides() const {
+  std::size_t count = 0;
+  for (const EndpointState& state : endpoints_) {
+    count += (state.up.byFinish.empty() ? 0 : 1) +
+             (state.down.byFinish.empty() ? 0 : 1);
+  }
+  return count;
 }
 
 double FlowNetwork::estimatedBacklogSeconds(const EndpointState& state) const {
   if (state.capacity.uploadBps <= 0.0) {
     return std::numeric_limits<double>::infinity();
   }
-  const sim::SimTime now = sim_.now();
   double backlogBytes = 0.0;
-  // Active uploads: read-only settle (progress since lastUpdate). Exact even
-  // mid-batch: a not-yet-drained flow's rateBps is the rate that actually
-  // governed [lastUpdate, now], so this computes the same remaining bytes
-  // the eager solver would have settled to.
+  // Active uploads: read off the binding side's clock without advancing it.
+  // Exact even mid-batch: a side's stored share is the rate that actually
+  // governed its clock since it was last advanced. A flow activated in this
+  // batch is not bound yet and has made no progress.
   for (const Slot slot : state.uploads) {
     const Flow& flow = *flows_.find(slot);
-    double remaining = flow.bytesRemaining;
-    if (now > flow.lastUpdate && flow.rateBps > 0.0) {
-      remaining -= flow.rateBps / 8.0 * sim::toSeconds(now - flow.lastUpdate);
-    }
-    backlogBytes += std::max(0.0, remaining);
+    backlogBytes += flow.binding == Binding::kNone ? flow.bytesRemaining
+                                                    : remainingBytes(flow);
   }
   // Paused uploads hold their slot and will resume; queued uploads wait in
   // line untouched.
@@ -273,7 +491,6 @@ FlowId FlowNetwork::startFlow(EndpointId src, EndpointId dst,
     flow.dst = dst;
     flow.bytesRemaining = static_cast<double>(bytes);
     flow.totalBytes = bytes;
-    flow.lastUpdate = sim_.now();
     flow.flowClass = options.flowClass;
     flow.queued = true;
     flow.completionTag = options.completionTag;
@@ -291,7 +508,6 @@ FlowId FlowNetwork::startFlow(EndpointId src, EndpointId dst,
   flow.dst = dst;
   flow.bytesRemaining = static_cast<double>(bytes);
   flow.totalBytes = bytes;
-  flow.lastUpdate = sim_.now();
   flow.flowClass = options.flowClass;
   flow.completionTag = options.completionTag;
   const Slot slot = flows_.insert(std::move(flow));
@@ -314,13 +530,13 @@ void FlowNetwork::activate(Slot slot, Flow& flow) {
   }
   flow.queued = false;
   flow.paused = false;
-  flow.lastUpdate = sim_.now();
   endpoints_[flow.src.index()].uploads.push_back(slot);
   endpoints_[flow.dst.index()].downloads.push_back(slot);
-  // Membership at both endpoints changed; both sides settle at batch commit
-  // (the new flow's own rate is derived in the same drain).
-  markDirty(flow.src);
-  if (flow.dst != flow.src) markDirty(flow.dst);
+  // Membership at both sides changed; the flow is bound (and both shares
+  // taken) when the batch commits.
+  markDirty(upSide(flow.src));
+  markDirty(downSide(flow.dst));
+  pendingBind_.push_back(slot);
   enforceFloorFor(flow);
 }
 
@@ -339,10 +555,10 @@ void FlowNetwork::promoteQueued(EndpointId endpoint) {
 
 void FlowNetwork::enforceFloorFor(Flow& flow) {
   if (floorBps_ <= 0.0) return;
-  // fairRate() is evaluated live instead of reading flow.rateBps: under
-  // deferred settling the cached rate is stale mid-batch, and the live
-  // expression is bit-for-bit what the eager solver's refresh had just
-  // stored when it evaluated this loop condition.
+  // fairRate() is evaluated live from the membership counts: mid-batch the
+  // sides' stored shares are stale, and the live expression is bit-for-bit
+  // what the eager solver's refresh had just stored when it evaluated this
+  // loop condition.
   while (fairRate(flow) + kRateEpsilon < floorBps_) {
     // Victims live at the bottleneck endpoint: pausing elsewhere cannot
     // raise this flow's rate.
@@ -369,27 +585,20 @@ void FlowNetwork::enforceFloorFor(Flow& flow) {
     }
     if (victim == 0) break;
     Flow& victimFlow = *flows_.find(victim);
-    const EndpointId vSrc = victimFlow.src;
-    const EndpointId vDst = victimFlow.dst;
     pauseFlow(victim, victimFlow);
-    markDirty(vSrc);
-    if (vDst != vSrc) markDirty(vDst);
   }
 }
 
 void FlowNetwork::pauseFlow(Slot slot, Flow& flow) {
   assert(!flow.queued && !flow.paused);
-  // Settle immediately: the pre-pause rate must stop accruing the moment the
-  // flow leaves the share pools, not at batch commit.
-  settle(flow);
-  if (flow.completion.valid()) {
-    sim_.cancel(flow.completion);
-    flow.completion = sim::EventHandle{};
-  }
+  // Read the remaining bytes off the clock now: the pre-pause share must
+  // stop accruing the moment the flow leaves the share pools.
+  unbind(flow);
   eraseSlot(endpoints_[flow.src.index()].uploads, slot);
   eraseSlot(endpoints_[flow.dst.index()].downloads, slot);
+  markDirty(upSide(flow.src));
+  markDirty(downSide(flow.dst));
   flow.paused = true;
-  flow.rateBps = 0.0;
   endpoints_[flow.src.index()].pausedUploads.push_back(slot);
   endpoints_[flow.dst.index()].pausedDownloads.push_back(slot);
 }
@@ -444,25 +653,10 @@ void FlowNetwork::resumePaused(EndpointId endpoint) {
   }
 }
 
-void FlowNetwork::finish(FlowId id) {
-  const Slot slot = slotOf(id);
-  if (slot == 0) return;
-  beginBatch();
-  Flow* flow = flows_.find(slot);
-  settle(*flow);
-  assert(flow->bytesRemaining <= kEpsilonBytes + 1.0);
-  const Flow record = removeFlow(slot, /*completed=*/true);
-  applyBatch();
-  // Notify after the drain so observers (and the tag's component) see the
-  // post-completion rates — the order the eager solver delivered.
-  for (FlowObserver* observer : observers_) observer->onFlowCompleted(id);
-  if (record.completionTag.tagged()) sim_.invokeTagged(record.completionTag);
-}
-
 FlowNetwork::Flow FlowNetwork::removeFlow(Slot slot, bool completed) {
+  unbind(*flows_.find(slot));
   Flow flow = flows_.take(slot);
   index_.erase(flow.id.value());
-  if (flow.completion.valid()) sim_.cancel(flow.completion);
 
   if (flow.queued) {
     // Never activated: only the source's wait queue (and the destination's
@@ -496,13 +690,11 @@ FlowNetwork::Flow FlowNetwork::removeFlow(Slot slot, bool completed) {
     endpoints_[flow.dst.index()].bytesDownloaded += flow.totalBytes;
   }
 
+  markDirty(upSide(flow.src));
+  markDirty(downSide(flow.dst));
   promoteQueued(flow.src);
   resumePaused(flow.src);
   if (flow.dst != flow.src) resumePaused(flow.dst);
-  // Marked after promotions/resumes so the drain orders this pair's final
-  // settle the way the eager solver's trailing refreshes did.
-  markDirty(flow.src);
-  if (flow.dst != flow.src) markDirty(flow.dst);
 
   if (!completed) sim_.discardTagged(flow.completionTag);
   return flow;
@@ -554,7 +746,7 @@ void FlowNetwork::dropEndpointFlows(EndpointId endpoint) {
   for (const Slot slot : doomed) {
     Flow* flow = flows_.find(slot);
     if (flow == nullptr) continue;  // same flow on both sides (loopback)
-    settle(*flow);
+    unbind(*flow);
     if (flow->dst != endpoint) {
       aborts.push_back(
           {flow->id,
@@ -576,7 +768,9 @@ bool FlowNetwork::flowActive(FlowId id) const { return slotOf(id) != 0; }
 
 double FlowNetwork::flowRateBps(FlowId id) const {
   const Flow* flow = flows_.find(slotOf(id));
-  return flow == nullptr ? 0.0 : flow->rateBps;
+  return flow == nullptr || flow->binding == Binding::kNone
+             ? 0.0
+             : side(boundSide(*flow)).share;
 }
 
 bool FlowNetwork::flowPaused(FlowId id) const {
@@ -617,8 +811,10 @@ std::uint64_t FlowNetwork::flowsShed(EndpointId id) const {
 bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
   (void)error;
   // Batches never span simulated time, and snapshots are taken between
-  // events, so there is nothing deferred to flush here.
-  assert(batchDepth_ == 0 && dirtyList_.empty());
+  // events, so there is nothing deferred to flush here: every active flow
+  // is bound, and every side's event is where its clock says.
+  assert(batchDepth_ == 0 && dirtyList_.empty() && retimeList_.empty() &&
+         pendingBind_.empty());
   // Membership lists serialize as public flow ids (the byte format predates
   // the slot arena and must stay stable), so translate slot -> id on the way
   // out; loadState rebuilds the arena and translates back.
@@ -644,9 +840,11 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
     w.u32(value);
     w.u32(flow.src.value());
     w.u32(flow.dst.value());
-    w.f64(flow.bytesRemaining);
-    w.f64(flow.rateBps);
-    w.i64(flow.lastUpdate);
+    // A bound flow's progress lives in its finish work; an unbound one's in
+    // its remaining bytes.
+    w.u8(static_cast<std::uint8_t>(flow.binding));
+    w.f64(flow.binding == Binding::kNone ? flow.bytesRemaining
+                                         : flow.finishWork);
     w.u64(flow.totalBytes);
     w.u8(static_cast<std::uint8_t>(flow.flowClass));
     w.boolean(flow.queued);
@@ -672,6 +870,11 @@ bool FlowNetwork::saveState(snapshot::Writer& w, std::string* error) const {
     w.u64(state.bytesUploaded);
     w.u64(state.bytesDownloaded);
     w.u64(state.flowsShed);
+    for (const Side* s : {&state.up, &state.down}) {
+      w.f64(s->share);
+      w.f64(s->work);
+      w.i64(s->clockAt);
+    }
   }
   w.u32(nextFlowId_);
   return true;
@@ -700,20 +903,21 @@ bool loadSlotList(snapshot::Reader& r, const Index& index, Container* out) {
 
 bool FlowNetwork::loadState(snapshot::Reader& r) {
   r.section(0x574f4c46, "flow network");
-  const std::size_t flowCount = r.count(4 + 4 + 4 + 8 + 8 + 8 + 8 + 3 + 40);
+  const std::size_t flowCount = r.count(4 + 4 + 4 + 1 + 8 + 8 + 3 + 40);
   if (!r.ok()) return false;
   flows_ = SlotPool<Flow>{};
   index_.clear();
   dirtyList_.clear();
+  retimeList_.clear();
+  pendingBind_.clear();
   for (std::size_t i = 0; i < flowCount; ++i) {
     const FlowId id{r.u32()};
     Flow flow;
     flow.id = id;
     flow.src = EndpointId{r.u32()};
     flow.dst = EndpointId{r.u32()};
-    flow.bytesRemaining = r.f64();
-    flow.rateBps = r.f64();
-    flow.lastUpdate = r.i64();
+    const std::uint8_t binding = r.u8();
+    const double progress = r.f64();
     flow.totalBytes = r.u64();
     const std::uint8_t flowClass = r.u8();
     flow.queued = r.boolean();
@@ -727,18 +931,24 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
     flow.completionTag.c = r.u64();
     flow.completionTag.d = r.u64();
     if (!r.ok()) return false;
+    // Active flows are bound (nothing is deferred across a snapshot);
+    // queued and paused ones are not.
+    const bool active = !flow.queued && !flow.paused;
     if (!hasEndpoint(flow.src) || !hasEndpoint(flow.dst) ||
         flowClass >= kFlowClassCount || (flow.queued && flow.paused) ||
-        flow.bytesRemaining < 0.0 || flow.totalBytes == 0 ||
-        index_.count(id.value()) != 0) {
+        binding > static_cast<std::uint8_t>(Binding::kDownload) ||
+        active != (binding != 0) || !(progress >= 0.0) ||
+        flow.totalBytes == 0 || index_.count(id.value()) != 0) {
       r.fail("flow record out of range");
       return false;
     }
     flow.flowClass = static_cast<FlowClass>(flowClass);
+    flow.binding = static_cast<Binding>(binding);
+    (active ? flow.finishWork : flow.bytesRemaining) = progress;
     const Slot slot = flows_.insert(std::move(flow));
     index_.emplace(id.value(), slot);
   }
-  const std::size_t endpointCount = r.count(9 * 8);
+  const std::size_t endpointCount = r.count(15 * 8);
   if (!r.ok() || endpointCount != endpoints_.size()) {
     r.fail("flow network endpoint count mismatch");
     return false;
@@ -753,12 +963,45 @@ bool FlowNetwork::loadState(snapshot::Reader& r) {
     state.bytesUploaded = r.u64();
     state.bytesDownloaded = r.u64();
     state.flowsShed = r.u64();
+    for (Side* s : {&state.up, &state.down}) {
+      *s = Side{};
+      s->share = r.f64();
+      s->work = r.f64();
+      s->clockAt = r.i64();
+      if (r.ok() && !(s->share >= 0.0 && s->work >= 0.0)) {
+        r.fail("flow network side clock out of range");
+      }
+    }
+    if (!r.ok()) return false;
   }
   nextFlowId_ = r.u32();
   if (!r.ok()) return false;
   for (const auto& [value, slot] : index_) {
     if (value >= nextFlowId_) {
       r.fail("flow id collides with the id allocator");
+      return false;
+    }
+  }
+  // Rebuild the side heaps and foreign lists from the bindings, in flow-id
+  // order (their layout never reaches an output: heap minima are by a total
+  // order, and flips and re-times are order-independent).
+  std::vector<std::pair<std::uint32_t, Slot>> ids(index_.begin(),
+                                                  index_.end());
+  std::sort(ids.begin(), ids.end());
+  for (const auto& [value, slot] : ids) {
+    Flow& flow = *flows_.find(slot);
+    if (flow.binding == Binding::kNone) continue;
+    Side& home = side(boundSide(flow));
+    Side& away = side(otherSide(flow));
+    heapPush(home.byFinish, &Flow::finishPos, {flow.finishWork, value, slot});
+    heapPush(home.byOther, &Flow::otherPos, {away.share, value, slot});
+    flow.foreignPos = static_cast<std::uint32_t>(away.foreign.size());
+    away.foreign.push_back(slot);
+  }
+  for (std::uint32_t index = 0; index < 2 * endpoints_.size(); ++index) {
+    const Side& s = side(index);
+    if (s.byFinish.size() + s.foreign.size() != memberCount(index)) {
+      r.fail("flow bindings disagree with endpoint membership");
       return false;
     }
   }

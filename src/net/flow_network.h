@@ -7,25 +7,40 @@
 //
 // i.e. each endpoint splits its capacity evenly across its active flows.
 // Rates change only when a flow starts or ends, so the event-driven
-// integration is exact: on each membership change we settle the progress of
-// the affected flows and move each one's pending completion event to its new
-// finish time (Simulator::rescheduleTagged re-keys the heap entry in place).
+// integration is exact.
+//
+// Accounting is per *side* — an endpoint's upload pool or its download pool
+// — in virtual time (processor sharing). A side's share is capacity / n over
+// its n member flows, and its work clock W counts the bits served per flow
+// so far; W is advanced once per batch commit that changes the side's
+// membership. Each flow is *bound* to the side whose share is its rate (on a
+// tie, the upload side) and carries its finish work F = W_at_bind + 8 x
+// remaining bytes, which does not move while the binding holds. A side with
+// bound flows owns exactly one completion event, at
+// now + (F_min - W) / share, moved in place with Simulator::rescheduleTagged.
+// So a membership change at the origin server advances one clock and moves
+// one event instead of settling every flow the server carries. Per-flow work
+// is left only for a *binding flip* — a change that makes the other side the
+// slower one: the flow's remaining bytes are read off its old side's clock,
+// (F - W) / 8, and it is rebound on the other side. Completions that land in
+// the same event finish together, in ascending flow id.
+//
+// This is the same fluid model as per-flow settling; only floating-point
+// rounding differs (bench/eager_flow_network.h keeps the per-flow solver as
+// a differential oracle).
+//
+// Rate allocation is *incremental*: mutations update membership immediately
+// but only mark the touched sides dirty; clocks, shares, bindings and events
+// are brought up to date once when the enclosing mutation batch commits.
+// Every public mutation is its own implicit batch; churn events that
+// add/remove many flows at once (a node departure, a promotion wave) wrap
+// the calls in a MutationBatch and pay for each dirty side once. Batches
+// never span simulated time, so a side's stored share is exactly the rate
+// its clock ran at since it was last advanced (see DESIGN.md §12).
 //
 // This is the mechanism that makes the origin server's 5 Mbps uplink
 // (Table I) saturate under PA-VoD and produce the paper's startup-delay
 // blow-up — no special-case queueing code needed.
-//
-// Rate allocation is *incremental*: mutations update membership immediately
-// but only mark their endpoints dirty; the settle + completion-reschedule
-// work runs once per dirty endpoint when the enclosing mutation batch
-// commits. Every public mutation is its own implicit batch, so single calls
-// behave exactly like the old eager solver; churn events that add/remove
-// many flows at once (a node departure, a promotion wave) wrap the calls in
-// a MutationBatch and pay for each affected flow once instead of once per
-// mutation. Batches never span simulated time, which is why the deferred
-// settle is bitwise-identical to eager recomputation: a flow's recorded
-// rate always covers exactly the [lastUpdate, now] span it was in effect
-// for (see DESIGN.md §12).
 //
 // Overload control (all off by default; a run with every knob at its default
 // is bitwise-identical to a build without this layer):
@@ -88,7 +103,10 @@ class FlowObserver {
   // starting replacement flows from inside the callback is safe (they join
   // the same batch).
   virtual void onFlowAborted(FlowId /*id*/, std::uint64_t /*bytesDone*/) {}
-  // The flow's last byte arrived (fires before the completion tag).
+  // The flow's last byte arrived (fires before the completion tag). Flows
+  // finishing in one side event are all unlinked first, then notified in
+  // ascending flow-id order inside that event's batch, so flows started
+  // from here (or from the tag) settle in the same drain.
   virtual void onFlowCompleted(FlowId /*id*/) {}
 };
 
@@ -110,7 +128,8 @@ struct FlowOptions {
 class FlowNetwork : public sim::EventFactory {
  public:
   // Tag kinds for Component::kFlow events (snapshot format; append only).
-  static constexpr std::uint8_t kFinishEvent = 0;  // a = flow id
+  // Kind 0 (one completion event per flow) is retired.
+  static constexpr std::uint8_t kSideFinishEvent = 1;  // a = side index
 
   using FlowOptions = net::FlowOptions;
 
@@ -167,9 +186,9 @@ class FlowNetwork : public sim::EventFactory {
 
   // --- mutation batches -------------------------------------------------------
   // Between beginBatch() and the matching applyBatch(), mutations update
-  // flow membership immediately but defer the fair-share settle/reschedule
-  // of affected flows; the outermost applyBatch() drains the dirty-endpoint
-  // set and recomputes each affected flow exactly once. Batches nest.
+  // flow membership immediately but defer clocks, shares, bindings and
+  // completion events; the outermost applyBatch() drains the dirty-side set
+  // and brings each dirty side up to date exactly once. Batches nest.
   // Queries of *rates* (flowRateBps, estimated backlog) made mid-batch see
   // the pre-batch rates — correct for elapsed-time accounting, stale as a
   // forecast; membership queries (counts, paused/queued flags) are always
@@ -215,8 +234,8 @@ class FlowNetwork : public sim::EventFactory {
   // flow-id order — for each cancelled *active or paused* flow the endpoint
   // was uploading: the remote downloader lost its provider and must
   // re-request elsewhere. The departed node's own downloads (and anything
-  // still queued) just die silently. Runs as one batch: every surviving
-  // flow at a touched endpoint settles once, however many flows died.
+  // still queued) just die silently. Runs as one batch: every touched side
+  // settles once, however many flows died.
   void dropEndpointFlows(EndpointId endpoint);
 
   [[nodiscard]] bool flowActive(FlowId id) const;
@@ -235,19 +254,26 @@ class FlowNetwork : public sim::EventFactory {
   // Flows shed by `endpoint`'s admission policy since the start of the run.
   [[nodiscard]] std::uint64_t flowsShed(EndpointId id) const;
 
-  // Diagnostic: settle+reschedule operations performed by batch drains since
-  // construction. The dirty-set regression tests and bench assert on deltas;
-  // not serialized (resets on restore), not registered as a metric.
+  // Diagnostic: work done by batch drains since construction — one per flow
+  // bound or rebound to a side (its remaining bytes re-expressed on that
+  // side's clock) plus one per side whose membership changed and that still
+  // has flows bound to it (its clock advanced and its event re-timed). The
+  // dirty-set regression tests and bench assert on deltas; not serialized
+  // (resets on restore), not registered as a metric.
   [[nodiscard]] std::uint64_t rateRecomputations() const {
     return rateRecomputations_;
   }
+  // Diagnostic: sides with at least one flow bound to them. Each owns
+  // exactly one pending completion event (none when its share is 0).
+  [[nodiscard]] std::size_t boundSides() const;
 
   // Checkpoint/restore of the mutable data plane: every live flow (sorted by
-  // id for a canonical byte stream), per-endpoint membership lists verbatim
-  // (their order drives fair-share refresh order), transfer tallies, and the
-  // id allocator. Static configuration (capacities, limits, policies, floor,
+  // id for a canonical byte stream) with its binding and finish work,
+  // per-endpoint membership lists verbatim (their order drives preemption
+  // victim choice), each side's share and work clock, transfer tallies, and
+  // the id allocator. Static configuration (capacities, limits, policies, floor,
   // observers) is re-applied by the experiment setup before restore.
-  // Completion EventHandles are re-stored by onRestored() while the
+  // Side completion EventHandles are re-stored by onRestored() while the
   // simulator queue loads (after this), so loadState leaves them invalid.
   // The byte format is slot-arena-free: membership lists serialize as public
   // flow ids, so the internal pool layout never leaks into the snapshot.
@@ -257,25 +283,62 @@ class FlowNetwork : public sim::EventFactory {
  private:
   struct Flow;
   // Internal generation-stamped arena handle (util::SlotPool). Membership
-  // lists store these, so the drain loop is index arithmetic + one
-  // generation compare per flow — no hashing. Public FlowIds map to slots
-  // through index_ exactly once per public-API call.
+  // lists and side heaps store these, so the drain loop is index arithmetic
+  // + one generation compare per flow — no hashing. Public FlowIds map to
+  // slots through index_ exactly once per public-API call.
   using Slot = SlotPool<Flow>::Id;
+
+  // Which side a flow is bound to (see the header comment).
+  enum class Binding : std::uint8_t { kNone = 0, kUpload = 1, kDownload = 2 };
 
   struct Flow {
     FlowId id;                     // public id (snapshot-stable)
     EndpointId src;
     EndpointId dst;
+    // Authoritative while the flow is bound to no side (queued, paused, or
+    // activated in a batch that has not committed yet); read off the
+    // binding side's clock otherwise.
     double bytesRemaining = 0.0;
-    double rateBps = 0.0;          // current rate
-    sim::SimTime lastUpdate = 0;   // when bytesRemaining was settled
+    // While bound: the binding side's work clock value (bits per flow) at
+    // which the last bit arrives.
+    double finishWork = 0.0;
     std::uint64_t totalBytes = 0;
     FlowClass flowClass = FlowClass::kPlayback;
     bool queued = false;           // waiting for an upload slot at src
     bool paused = false;           // preempted by a higher-class flow
-    sim::EventHandle completion;
+    Binding binding = Binding::kNone;
+    // Positions in the binding side's heaps and in the other side's
+    // foreign list (meaningful only while bound).
+    std::uint32_t finishPos = 0;
+    std::uint32_t otherPos = 0;
+    std::uint32_t foreignPos = 0;
     sim::EventTag completionTag{};  // serializable completion notification
-    std::uint64_t drainStamp = 0;   // drain-epoch dedup mark (transient)
+  };
+
+  // Indexed-heap entry: ordered by (key, public id), a total order, so the
+  // heap's minimum never depends on its layout.
+  struct HeapEntry {
+    double key;
+    std::uint32_t id;
+    Slot slot;
+
+    [[nodiscard]] bool before(const HeapEntry& other) const {
+      return key < other.key || (key == other.key && id < other.id);
+    }
+  };
+  using FlowPos = std::uint32_t Flow::*;
+
+  // One side of an endpoint: its upload pool or its download pool.
+  struct Side {
+    double share = 0.0;           // capacity / members as of the last drain
+    double work = 0.0;            // W: bits served per flow since the base
+    sim::SimTime clockAt = 0;     // when `work` was last advanced
+    std::vector<HeapEntry> byFinish;  // bound flows by finish work
+    std::vector<HeapEntry> byOther;   // bound flows by the other side's share
+    std::vector<Slot> foreign;        // members bound to their other side
+    sim::EventHandle completion;      // pending while byFinish is non-empty
+    bool dirty = false;           // membership changed in this batch
+    bool retimeQueued = false;    // on retimeList_
   };
 
   struct EndpointState {
@@ -297,23 +360,75 @@ class FlowNetwork : public sim::EventFactory {
     std::uint64_t bytesUploaded = 0;
     std::uint64_t bytesDownloaded = 0;
     std::uint64_t flowsShed = 0;
-    std::uint64_t dirtyStamp = 0;  // drain-epoch dedup mark (transient)
+    Side up;
+    Side down;
   };
+
+  // Side indices: 2 x endpoint index, + 1 for the download pool.
+  [[nodiscard]] static std::uint32_t upSide(EndpointId endpoint) {
+    return endpoint.value() * 2;
+  }
+  [[nodiscard]] static std::uint32_t downSide(EndpointId endpoint) {
+    return endpoint.value() * 2 + 1;
+  }
+  [[nodiscard]] Side& side(std::uint32_t index);
+  [[nodiscard]] const Side& side(std::uint32_t index) const;
+  [[nodiscard]] std::size_t memberCount(std::uint32_t index) const;
+  [[nodiscard]] double capacityOf(std::uint32_t index) const;
+  [[nodiscard]] std::uint32_t boundSide(const Flow& flow) const {
+    return flow.binding == Binding::kUpload ? upSide(flow.src)
+                                            : downSide(flow.dst);
+  }
+  [[nodiscard]] std::uint32_t otherSide(const Flow& flow) const {
+    return flow.binding == Binding::kUpload ? downSide(flow.dst)
+                                            : upSide(flow.src);
+  }
+  // The binding the current shares call for: the smaller share, the upload
+  // side on a tie.
+  [[nodiscard]] Binding bindingFor(const Flow& flow) const;
 
   [[nodiscard]] Slot slotOf(FlowId id) const;
   [[nodiscard]] double fairRate(const Flow& flow) const;
-  void settle(Flow& flow);
-  void reschedule(Flow& flow);
-  // Queues `endpoint` for a fair-share refresh at batch commit. Every
-  // membership change marks both affected endpoints; duplicates are cheap
-  // (appended, deduped at drain).
-  void markDirty(EndpointId endpoint);
-  // Settles and reschedules every flow at a dirty endpoint exactly once, in
-  // the order the eager solver's *final* refresh of each flow would have
-  // used (endpoints by last mark, flows by membership order, keeping a
-  // flow's last occurrence) — same completion events, same tie-breaking.
+
+  // --- side clocks ----------------------------------------------------------
+  // Work clock at now, at the share that has governed since clockAt. The
+  // stored clock is advanced only when the share changes (drain) or the
+  // side empties (retime rebases it).
+  [[nodiscard]] double workNow(const Side& s) const;
+  // Bound flow's remaining bytes, read off its side's clock (no mutation).
+  [[nodiscard]] double remainingBytes(const Flow& flow) const;
+  // Binds an unbound active flow to side `to` (F from bytesRemaining).
+  void bind(Slot slot, Flow& flow, Binding to);
+  // Materializes bytesRemaining from the clock and takes the flow off its
+  // side's heaps and the other side's foreign list.
+  void unbind(Flow& flow);
+  void rebind(Slot slot, Flow& flow, Binding to);
+  void markDirty(std::uint32_t sideIndex);
+  void markRetime(std::uint32_t sideIndex);
+  // Moves the side's completion event to its earliest finish (or cancels
+  // it when nothing is bound; the clock is then rebased to 0).
+  void retime(std::uint32_t sideIndex);
+  // The side's completion event: finishes every bound flow due now.
+  void finishSide(std::uint32_t sideIndex);
+
+  void heapPush(std::vector<HeapEntry>& heap, FlowPos pos,
+                const HeapEntry& entry);
+  void heapErase(std::vector<HeapEntry>& heap, FlowPos pos, std::uint32_t at);
+  void heapRekey(std::vector<HeapEntry>& heap, FlowPos pos, std::uint32_t at,
+                 double key);
+  void heapPlace(std::vector<HeapEntry>& heap, FlowPos pos, std::uint32_t at,
+                 const HeapEntry& entry);
+  void siftUp(std::vector<HeapEntry>& heap, FlowPos pos, std::uint32_t at,
+              const HeapEntry& entry);
+  void siftDown(std::vector<HeapEntry>& heap, FlowPos pos, std::uint32_t at,
+                const HeapEntry& entry);
+
+  // Brings every dirty side up to date, in four passes: advance clocks and
+  // take the new shares; re-key the touched flows' other-share keys; rebind
+  // the flows whose binding flipped; bind the flows activated in this batch.
+  // Then re-times every side whose binding set or share changed, in side
+  // order (so event stamps never depend on the order of marks).
   void drain();
-  void finish(FlowId id);
   // Unlinks the flow everywhere, credits tallies when `completed`, releases
   // its slot, and returns the record (for post-batch notification). Discards
   // the completion tag itself on abandonment; invoking it on completion is
@@ -350,15 +465,21 @@ class FlowNetwork : public sim::EventFactory {
   double floorBps_ = 0.0;
   std::vector<FlowObserver*> observers_;
 
-  // Batch state. dirtyList_ is append-only within a batch (duplicates
-  // allowed); the scratch vectors are reused across drains so steady-state
-  // commits allocate nothing.
+  // Batch state. The lists are deduplicated by the sides' flags; the
+  // scratch vectors are reused across drains so steady-state commits
+  // allocate nothing.
   int batchDepth_ = 0;
-  std::uint64_t drainEpoch_ = 0;
-  std::vector<EndpointId> dirtyList_;
-  std::vector<EndpointId> drainEndpoints_;  // scratch: deduped, last-mark order
-  std::vector<Slot> drainMembers_;          // scratch: concatenated membership
-  std::vector<Slot> drainOrder_;            // scratch: deduped, reversed
+  std::vector<std::uint32_t> dirtyList_;
+  std::vector<std::uint32_t> retimeList_;
+  std::vector<Slot> pendingBind_;  // activated in this batch, not yet bound
+  std::vector<Slot> flips_;        // scratch
+  // Scratch for finishSide: the flows one side event completes.
+  struct Completed {
+    FlowId id;
+    Slot slot;
+    sim::EventTag tag;
+  };
+  std::vector<Completed> completed_;
   std::uint64_t rateRecomputations_ = 0;
 };
 

@@ -36,7 +36,7 @@ enum class Component : std::uint8_t {
   kNetTube = 3,
   kPaVod = 4,
   kTransfer = 5,  // TransferManager timeouts / flow completions
-  kFlow = 6,      // FlowNetwork internal finish events
+  kFlow = 6,      // FlowNetwork per-side completion events
   kFault = 7,     // fault::Injector activate / deactivate
   kInvariants = 8,
   kReleases = 9,

@@ -338,6 +338,16 @@ void Simulator::cancel(EventHandle handle) {
   --shard.live;
 }
 
+bool Simulator::isPending(EventHandle handle) const {
+  if (!handle.valid()) return false;
+  const std::uint32_t shardIndex = handle.slot_ >> kSlotIndexBits;
+  const std::uint32_t index = handle.slot_ & kSlotIndexMask;
+  if (shardIndex >= shards_.size()) return false;
+  const ShardState& shard = shards_[shardIndex];
+  return index < shard.slots.size() && shard.slots[index].gen == handle.gen_ &&
+         shard.heapPos[index] != kNotQueued;
+}
+
 EventHandle Simulator::rescheduleTagged(EventHandle handle, SimTime delay,
                                         const EventTag& tag) {
   assert(delay >= 0);

@@ -14,7 +14,8 @@
 // its event fired can never cancel an unrelated later event that reused the
 // slot, because the generation no longer matches. rescheduleTagged()
 // re-keys a pending one-shot's heap entry in place (new time, fresh stamp);
-// FlowNetwork uses it to re-time flow completions when a fair share changes.
+// FlowNetwork uses it to re-time a side's completion event when the side's
+// share or its bound flows change.
 //
 // Sharded mode (DESIGN.md §13, configureShards): every event is owned by a
 // community key, keys map onto power-of-two shards by masking, and each
@@ -164,6 +165,9 @@ class Simulator {
   // (and, for a periodic series, its state) immediately; no-op on invalid or
   // stale handles.
   void cancel(EventHandle handle);
+
+  // True while `handle`'s event is queued (not yet fired or cancelled).
+  [[nodiscard]] bool isPending(EventHandle handle) const;
 
   // Same effect as cancel(handle) followed by scheduleTagged(delay, tag):
   // one stamp is drawn, so firing order and snapshots cannot tell the two

@@ -35,7 +35,7 @@
 namespace st::snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x4e535453;  // "STSN"
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 inline constexpr std::uint64_t kMaxSnapshotBytes = 1ull << 32;
 
 namespace detail {

@@ -58,7 +58,7 @@ VideoId VideoSelector::popFeed(UserId user) {
   while (!queue.empty()) {
     const VideoId video = queue.front();
     queue.pop_front();
-    if (!isReleased(video) || seen.count(video) > 0) continue;
+    if (!isReleased(video) || seen.contains(video)) continue;
     seen.insert(video);
     ++feedWatches_;
     return video;
@@ -71,7 +71,7 @@ VideoId VideoSelector::pickFor(UserId user, ChannelId channelId) {
   auto& seen = watched_[user.index()];
   VideoId candidate = videoWithinChannel(rng, channelId);
   for (int attempt = 0;
-       attempt < 8 && (seen.count(candidate) > 0 || !isReleased(candidate));
+       attempt < 8 && (seen.contains(candidate) || !isReleased(candidate));
        ++attempt) {
     candidate = videoWithinChannel(rng, channelId);
   }
@@ -177,11 +177,9 @@ void VideoSelector::saveState(snapshot::Writer& w) const {
     w.f64(state.spareNormal);
     w.boolean(state.hasSpareNormal);
   }
-  for (const auto& seen : watched_) {
-    std::vector<VideoId> sorted(seen.begin(), seen.end());
-    std::sort(sorted.begin(), sorted.end());
-    w.u64(sorted.size());
-    for (const VideoId video : sorted) w.u32(video.value());
+  for (const VideoIdSet& seen : watched_) {
+    w.u64(seen.size());  // ascending ids
+    for (const VideoId video : seen) w.u32(video.value());
   }
   for (const auto& queue : feed_) {
     w.u64(queue.size());
@@ -203,7 +201,7 @@ bool VideoSelector::loadState(snapshot::Reader& r) {
     state.spareNormal = r.f64();
     state.hasSpareNormal = r.boolean();
   }
-  std::vector<std::unordered_set<VideoId>> watched(userCount);
+  std::vector<VideoIdSet> watched(userCount);
   for (auto& seen : watched) {
     const std::size_t n = r.count(4);
     for (std::size_t i = 0; i < n; ++i) {

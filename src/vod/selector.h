@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "snapshot/codec.h"
@@ -18,6 +17,7 @@
 #include "util/distributions.h"
 #include "util/rng.h"
 #include "vod/config.h"
+#include "vod/video_id_set.h"
 
 namespace st::vod {
 
@@ -77,7 +77,7 @@ class VideoSelector {
   const SystemContext* ctx_ = nullptr;
   std::vector<Rng> userRngs_;
   // Videos each user has already selected (rewatch avoidance).
-  std::vector<std::unordered_set<VideoId>> watched_;
+  std::vector<VideoIdSet> watched_;
   // Per-user queue of new uploads awaiting a watch.
   std::vector<std::deque<VideoId>> feed_;
   std::uint64_t feedWatches_ = 0;

@@ -8,7 +8,7 @@ VideoCache::VideoCache(std::size_t maxVideos, std::size_t prefetchSlots)
     : maxVideos_(maxVideos), prefetchSlots_(prefetchSlots) {}
 
 void VideoCache::insert(VideoId video) {
-  if (!videos_.insert(video).second) return;
+  if (!videos_.insert(video)) return;
   videoOrder_.push_back(video);
   removeFirstChunk(video);  // full copy subsumes the prefetched chunk
   evictIfNeeded();
@@ -29,8 +29,8 @@ VideoId VideoCache::randomVideo(Rng& rng) const {
 }
 
 void VideoCache::insertFirstChunk(VideoId video) {
-  if (videos_.count(video) > 0) return;  // already have the whole video
-  if (!prefetched_.insert(video).second) return;
+  if (videos_.contains(video)) return;  // already have the whole video
+  if (!prefetched_.insert(video)) return;
   prefetchOrder_.push_back(video);
   while (prefetchSlots_ != 0 && prefetched_.size() > prefetchSlots_) {
     const VideoId victim = prefetchOrder_.front();
@@ -40,7 +40,7 @@ void VideoCache::insertFirstChunk(VideoId video) {
 }
 
 void VideoCache::removeFirstChunk(VideoId video) {
-  if (prefetched_.erase(video) == 0) return;
+  if (!prefetched_.erase(video)) return;
   const auto it =
       std::find(prefetchOrder_.begin(), prefetchOrder_.end(), video);
   if (it != prefetchOrder_.end()) prefetchOrder_.erase(it);

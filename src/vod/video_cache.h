@@ -8,12 +8,12 @@
 
 #include <cstddef>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "snapshot/codec.h"
 #include "util/rng.h"
 #include "util/strong_id.h"
+#include "vod/video_id_set.h"
 
 namespace st::vod {
 
@@ -27,7 +27,7 @@ class VideoCache {
   // --- full videos -----------------------------------------------------------
   void insert(VideoId video);
   [[nodiscard]] bool contains(VideoId video) const {
-    return videos_.count(video) > 0;
+    return videos_.contains(video);
   }
   [[nodiscard]] std::size_t size() const { return videos_.size(); }
   [[nodiscard]] const std::vector<VideoId>& videoList() const {
@@ -39,7 +39,7 @@ class VideoCache {
   // --- prefetched first chunks -------------------------------------------------
   void insertFirstChunk(VideoId video);
   [[nodiscard]] bool hasFirstChunk(VideoId video) const {
-    return prefetched_.count(video) > 0;
+    return prefetched_.contains(video);
   }
   // Drops the prefetched chunk entry (it either graduated to a full video or
   // was evicted logically).
@@ -52,7 +52,7 @@ class VideoCache {
 
   // Checkpoint/restore: insertion order is behavioral (FIFO eviction and
   // randomVideo() draws by position), so both ordered sequences persist
-  // verbatim and the hash sets are rebuilt from them.
+  // verbatim and the membership sets are rebuilt from them.
   void saveState(snapshot::Writer& w) const {
     w.u64(videoOrder_.size());
     for (const VideoId v : videoOrder_) w.u32(v.value());
@@ -68,8 +68,8 @@ class VideoCache {
       prefetchOrder_.push_back(VideoId{r.u32()});
     }
     if (!r.ok()) return false;
-    videos_.insert(videoOrder_.begin(), videoOrder_.end());
-    prefetched_.insert(prefetchOrder_.begin(), prefetchOrder_.end());
+    for (const VideoId v : videoOrder_) videos_.insert(v);
+    for (const VideoId v : prefetchOrder_) prefetched_.insert(v);
     return true;
   }
 
@@ -78,9 +78,9 @@ class VideoCache {
 
   std::size_t maxVideos_;
   std::size_t prefetchSlots_;
-  std::unordered_set<VideoId> videos_;
+  VideoIdSet videos_;
   std::vector<VideoId> videoOrder_;  // insertion order; FIFO eviction
-  std::unordered_set<VideoId> prefetched_;
+  VideoIdSet prefetched_;
   std::deque<VideoId> prefetchOrder_;
 };
 

@@ -8,6 +8,9 @@
 // The expected values are the seed fingerprint of simulationDefaults(7)
 // scaled to 150 users / 3 sessions over half a simulated day. Regenerate
 // them only for an intentional behavior change, never to "fix" this test.
+// Last regenerated when the flow solver moved to per-side virtual clocks:
+// the same fluid model with different floating-point rounding, which
+// shifts some completions by a microsecond and reorders same-instant ones.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -74,7 +77,7 @@ TEST(BaselineRegression, SocialTubeFingerprintIsStable) {
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.8f0f32d24a75bp+9);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.8f0f32d61c24ep+9);
   EXPECT_EQ(p99, 0x1.686fc3b4f6165p+13);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.6a68790ae86ccp-1);
   EXPECT_EQ(r.uploadGini, 0x1.c769dddc64b24p-2);
@@ -84,38 +87,38 @@ TEST(BaselineRegression, PaVodFingerprintIsStable) {
   const ExperimentResult r =
       runExperiment(fingerprintConfig(), SystemKind::kPaVod);
   const obs::Snapshot expected = snapshotOf({
-      {"body_completions", 3814},
+      {"body_completions", 3829},
       {"cache_hits", 0},
       {"category_hits", 0},
-      {"channel_hits", 2742},
-      {"events_fired", 32883},
+      {"channel_hits", 2751},
+      {"events_fired", 32896},
       {"feed_notifications", 0},
       {"feed_watches", 0},
       {"messages_faulted", 0},
       {"messages_lost", 0},
-      {"messages_sent", 12103},
-      {"peer_chunks", 51830},
+      {"messages_sent", 12102},
+      {"peer_chunks", 52058},
       {"prefetch_hits", 0},
       {"prefetch_issued", 0},
       {"probes", 0},
-      {"rebuffers", 825},
+      {"rebuffers", 818},
       {"releases_fired", 0},
       {"repairs", 0},
       {"search.retries", 0},
-      {"server_bytes", 8739101414ull},
-      {"server_chunks", 24714},
-      {"server_fallbacks", 1659},
+      {"server_bytes", 8728168672ull},
+      {"server_chunks", 24765},
+      {"server_fallbacks", 1650},
       {"sessions_completed", 438},
-      {"startup_timeouts", 439},
-      {"transfer.resourced", 229},
+      {"startup_timeouts", 426},
+      {"transfer.resourced", 220},
       {"watches", 4401},
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.0a2fa79f6caf8p+13);
-  EXPECT_EQ(p99, 0x1.c14f486983515p+15);
-  EXPECT_EQ(r.aggregatePeerFraction(), 0x1.5ab05fe49a1d2p-1);
-  EXPECT_EQ(r.uploadGini, 0x1.d6f6654a94ac8p-3);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.063ab776f8d83p+13);
+  EXPECT_EQ(p99, 0x1.c140a0a2877eep+15);
+  EXPECT_EQ(r.aggregatePeerFraction(), 0x1.5af30dcae3a53p-1);
+  EXPECT_EQ(r.uploadGini, 0x1.bda99d0e6c6e8p-3);
 }
 
 TEST(BaselineRegression, NetTubeFingerprintIsStable) {
@@ -129,7 +132,7 @@ TEST(BaselineRegression, NetTubeFingerprintIsStable) {
       {"cache_hits", 2860},
       {"category_hits", 286},
       {"channel_hits", 843},
-      {"events_fired", 42694},
+      {"events_fired", 42693},
       {"feed_notifications", 0},
       {"feed_watches", 0},
       {"messages_faulted", 0},
@@ -153,7 +156,7 @@ TEST(BaselineRegression, NetTubeFingerprintIsStable) {
   });
   EXPECT_EQ(r.counters, expected);
   const double p99 = r.startupDelayMs.percentile(99);
-  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.29ab48b54c818p+10);
+  EXPECT_EQ(r.startupDelayMs.mean(), 0x1.29ab48b82a454p+10);
   EXPECT_EQ(p99, 0x1.0d06155475a31p+14);
   EXPECT_EQ(r.aggregatePeerFraction(), 0x1.7b5aa3e157bd8p-1);
   EXPECT_EQ(r.uploadGini, 0x1.e07ecf46eb6e4p-2);

@@ -297,16 +297,16 @@ ExperimentConfig goldenConfig() {
   return config;
 }
 
-// The committed golden snapshot (tests/data/golden_v1.snap) was written by
+// The committed golden snapshot (tests/data/golden_v2.snap) was written by
 // this very config with the save point at t=1h. Two regressions are caught
 // here: a codec/layout change that forgets to bump kFormatVersion (the CRC
 // or section parse breaks), and a version bump that forgets to regenerate
 // the golden (the header check refuses the file). Regenerate with:
 //   ST_REGEN_GOLDEN=1 ./tests/snapshot_test
-//       --gtest_filter=GoldenSnapshot.V1FileStillRestores
-TEST(GoldenSnapshot, V1FileStillRestores) {
+//       --gtest_filter=GoldenSnapshot.V2FileStillRestores
+TEST(GoldenSnapshot, V2FileStillRestores) {
   const ExperimentConfig config = goldenConfig();
-  const std::string path = std::string(ST_TEST_DATA_DIR) + "/golden_v1.snap";
+  const std::string path = std::string(ST_TEST_DATA_DIR) + "/golden_v2.snap";
   const sim::SimTime saveAt = sim::kHour;
 
   if (std::getenv("ST_REGEN_GOLDEN") != nullptr) {
