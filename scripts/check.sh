@@ -49,7 +49,8 @@ done
 # them over the engine-level labels: the scheduler's heap positions and
 # slot packing, and the flow solver's per-side invariants (a side's work
 # clock only moves forward, every active flow is bound to exactly one side,
-# and a side with bound flows has exactly one pending completion event).
+# and a side with bound flows has exactly one pending completion event),
+# plus the soak label's crash/rejoin storms and focused recovery audits.
 echo "=== Debug, asserts on (build-debug) ==="
 cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-debug -j "$JOBS"

@@ -16,10 +16,11 @@
 # TSan pass: everything threaded — the thread pool, parallel multi-seed,
 # parallel snapshot restores, and the sharded engine's barrier windows.
 # ST_LABELS_QUICK is sanitize.sh's fast default gate. ST_LABELS_DEBUG is
-# check.sh's Debug (asserts on) pass.
+# check.sh's Debug (asserts on) pass; it includes soak so the recovery
+# storms and the focused-audit walks run with asserts on.
 ST_LABELS_QUICK='unit|flow'
 ST_LABELS_TSAN='unit|snapshot|flow|shard'
-ST_LABELS_DEBUG='unit|flow|snapshot|shard'
+ST_LABELS_DEBUG='unit|flow|snapshot|shard|soak'
 ST_LABELS_ALL_GATED='unit|soak|snapshot|flow|shard'
 # Seed-sweep chaos soak on top of the `soak` ctest label: scripts/soak.sh
 # drives churn_storm through ST_SOAK_SEEDS seeds × a gray/dup/reorder/

@@ -566,9 +566,53 @@ void NetTubeSystem::auditInvariants(vod::AuditReport& report) const {
   // is unbounded — the paper's setting.
   const bool unboundedCache = ctx_.config().cacheCapacityVideos == 0;
 
+  const auto auditOverlay = [&](UserId user, VideoId video,
+                                const std::vector<UserId>& links) {
+    if (links.empty()) {
+      report.violate("nt.empty_overlay", user.value(), video.value());
+    }
+    if (links.size() > cap) {
+      report.violate("nt.overlay_cap", user.value(), video.value());
+    }
+    for (std::size_t j = 0; j < links.size(); ++j) {
+      const UserId n = links[j];
+      if (n == user) {
+        report.violate("nt.self_link", user.value(), video.value());
+        continue;
+      }
+      if (std::find(links.begin(),
+                    links.begin() + static_cast<std::ptrdiff_t>(j), n) !=
+          links.begin() + static_cast<std::ptrdiff_t>(j)) {
+        report.violate("nt.dup_link", user.value(), n);
+        continue;
+      }
+      if (!ctx_.isOnline(n)) {
+        if (ctx_.offlineSince(n) < report.staleBefore()) {
+          report.violate("nt.stale_link", user.value(), n);
+        }
+        continue;
+      }
+      const Overlays& peer = overlays_[n.index()];
+      const auto peerIt = peer.find(video);
+      if (peerIt == peer.end() || !contains(peerIt->second, user)) {
+        report.violateTransient("nt.asym_link", user.value(), n);
+      }
+    }
+  };
+
   for (std::size_t i = 0; i < overlays_.size(); ++i) {
     const UserId user{static_cast<std::uint32_t>(i)};
     const Overlays& overlays = overlays_[i];
+    if (!report.covers(user)) {
+      // Focused audit, another node: only its overlays that name the focus
+      // can hold an asymmetric, duplicate or stale link to it.
+      if (ctx_.isOnline(user)) {
+        for (const auto& [video, links] : overlays) {
+          if (report.names(links)) auditOverlay(user, video, links);
+        }
+      }
+      continue;
+    }
     if (!ctx_.isOnline(user)) {
       if (!overlays.empty()) {
         report.violate("nt.offline_has_links", user.value(),
@@ -576,36 +620,7 @@ void NetTubeSystem::auditInvariants(vod::AuditReport& report) const {
       }
     } else {
       for (const auto& [video, links] : overlays) {
-        if (links.empty()) {
-          report.violate("nt.empty_overlay", user.value(), video.value());
-        }
-        if (links.size() > cap) {
-          report.violate("nt.overlay_cap", user.value(), video.value());
-        }
-        for (std::size_t j = 0; j < links.size(); ++j) {
-          const UserId n = links[j];
-          if (n == user) {
-            report.violate("nt.self_link", user.value(), video.value());
-            continue;
-          }
-          if (std::find(links.begin(),
-                        links.begin() + static_cast<std::ptrdiff_t>(j), n) !=
-              links.begin() + static_cast<std::ptrdiff_t>(j)) {
-            report.violate("nt.dup_link", user.value(), n.value());
-            continue;
-          }
-          if (!ctx_.isOnline(n)) {
-            if (ctx_.offlineSince(n) < report.staleBefore()) {
-              report.violate("nt.stale_link", user.value(), n.value());
-            }
-            continue;
-          }
-          const Overlays& peer = overlays_[n.index()];
-          const auto peerIt = peer.find(video);
-          if (peerIt == peer.end() || !contains(peerIt->second, user)) {
-            report.violateTransient("nt.asym_link", user.value(), n.value());
-          }
-        }
+        auditOverlay(user, video, links);
       }
     }
     for (const VideoId video : cache_[i].videoList()) {
@@ -615,13 +630,18 @@ void NetTubeSystem::auditInvariants(vod::AuditReport& report) const {
     }
   }
 
-  directory_.forEach([&](UserId member, VideoId video) {
+  report.forEachRegistration(directory_, [&](UserId member, VideoId video) {
     if (!ctx_.isOnline(member)) {
       report.violate("nt.directory_offline", member.value(), video.value());
     } else if (unboundedCache && !cache_[member.index()].contains(video)) {
       report.violate("nt.directory_uncached", member.value(), video.value());
     }
   });
+}
+
+void NetTubeSystem::injectLinkForTest(UserId user, UserId neighbor,
+                                      VideoId video) {
+  overlays_[user.index()][video].push_back(neighbor);
 }
 
 // --- checkpoint/restore --------------------------------------------------------

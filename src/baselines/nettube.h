@@ -82,6 +82,11 @@ class NetTubeSystem final : public vod::VodSystem, public sim::EventFactory {
   // and cache consistency.
   void auditInvariants(vod::AuditReport& report) const override;
 
+  // Test-only corruption hook: appends `neighbor` to `user`'s overlay for
+  // `video` WITHOUT the reciprocal entry or cap checks (see
+  // SocialTubeSystem::injectLinkForTest).
+  void injectLinkForTest(UserId user, UserId neighbor, VideoId video);
+
   // Serializes the directory, per-node overlays/caches, the search pool, and
   // the flood-dedup stamps. Probe timers and search deadlines are re-stored
   // from the simulator queue via onRestored().

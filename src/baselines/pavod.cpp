@@ -168,7 +168,7 @@ void PaVodSystem::providerRegister(const sim::EventTag& tag) {
 void PaVodSystem::auditInvariants(vod::AuditReport& report) const {
   // The watcher directory is pruned synchronously on logout, playback end,
   // and video switch, so a stale advertisement is a bug, not churn noise.
-  watchers_.forEach([&](UserId member, VideoId video) {
+  report.forEachRegistration(watchers_, [&](UserId member, VideoId video) {
     if (!ctx_.isOnline(member)) {
       report.violate("pv.watcher_offline", member.value(), video.value());
       return;

@@ -908,13 +908,13 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
     for (std::size_t i = 0; i < links.size(); ++i) {
       const UserId n = links[i];
       if (n == user) {
-        report.violate(std::string(tag) + "_self", user.value(), n.value());
+        report.violate(std::string(tag) + "_self", user.value(), n);
         continue;
       }
       if (std::find(links.begin(), links.begin() +
                                        static_cast<std::ptrdiff_t>(i),
                     n) != links.begin() + static_cast<std::ptrdiff_t>(i)) {
-        report.violate(std::string(tag) + "_dup", user.value(), n.value());
+        report.violate(std::string(tag) + "_dup", user.value(), n);
         continue;
       }
       const ConstNodeRef peer = store_.ref(n);
@@ -922,8 +922,7 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
         // A dead neighbor is legitimate until the next probe round sweeps
         // it; one that died before the repair horizon is a leak.
         if (ctx_.offlineSince(n) < report.staleBefore()) {
-          report.violate(std::string(tag) + "_stale", user.value(),
-                         n.value());
+          report.violate(std::string(tag) + "_stale", user.value(), n);
         }
         continue;
       }
@@ -932,8 +931,7 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
       const bool reciprocal =
           innerList ? contains(peer.inner, user) : contains(peer.inter, user);
       if (!reciprocal) {
-        report.violateTransient(std::string(tag) + "_asym", user.value(),
-                                n.value());
+        report.violateTransient(std::string(tag) + "_asym", user.value(), n);
       }
       // No community-membership check for inner links and no category check
       // for inter links: both are formation-time properties (§IV-A), not
@@ -948,6 +946,15 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
   for (std::size_t i = 0; i < store_.size(); ++i) {
     const UserId user{static_cast<std::uint32_t>(i)};
     const ConstNodeRef node = store_.ref(user);
+    if (!report.covers(user)) {
+      // Focused audit, another node: only its lists that name the focus
+      // can hold an asymmetric, duplicate or stale link to it.
+      if (ctx_.isOnline(user)) {
+        if (report.names(node.inner)) auditList(user, node.inner, true);
+        if (report.names(node.inter)) auditList(user, node.inter, false);
+      }
+      continue;
+    }
     if (ctx_.isOnline(user)) {
       auditList(user, node.inner, /*innerList=*/true);
       auditList(user, node.inter, /*innerList=*/false);
@@ -981,7 +988,7 @@ void SocialTubeSystem::auditInvariants(vod::AuditReport& report) const {
 
   // The directory must never retain a departed user: onLogout removes every
   // registration synchronously, so this is instant, not transient.
-  directory_.forEach([&](UserId member, ChannelId channel) {
+  report.forEachRegistration(directory_, [&](UserId member, ChannelId channel) {
     if (!ctx_.isOnline(member)) {
       report.violate("st.directory_offline", member.value(), channel.value());
     }

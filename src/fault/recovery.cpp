@@ -1,7 +1,6 @@
 #include "fault/recovery.h"
 
 #include <cassert>
-#include <vector>
 
 namespace st::fault {
 
@@ -50,15 +49,10 @@ void RecoveryManager::onRejoin(UserId user) {
 
 bool RecoveryManager::userClean(UserId user) {
   const sim::SimTime now = ctx_.sim().now();
-  vod::AuditReport report(now, now - horizon_);
+  vod::AuditReport report(now, now - horizon_, user);
   system_.auditInvariants(report);
   transfers_.auditInvariants(report);
-  for (const vod::AuditViolation& violation : report.violations()) {
-    if (violation.actor == user.value() || violation.subject == user.value()) {
-      return false;
-    }
-  }
-  return true;
+  return report.clean();
 }
 
 void RecoveryManager::runRound(UserId user) {

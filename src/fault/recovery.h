@@ -77,8 +77,9 @@ class RecoveryManager final : public sim::EventFactory {
 
  private:
   void runRound(UserId user);
-  // Is the rejoined node's slice of the structural audit clean (no
-  // violation with this user as actor or subject)?
+  // Is the rejoined node's slice of the structural audit clean? A focused
+  // audit (vod/audit.h) walks only that slice: no violation involves the
+  // user as actor or as a user subject.
   [[nodiscard]] bool userClean(UserId user);
 
   vod::SystemContext& ctx_;

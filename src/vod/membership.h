@@ -94,10 +94,15 @@ class MembershipDirectory {
   template <typename Fn>
   void forEach(Fn&& fn) const {
     for (std::size_t i = 0; i < byUser_.size(); ++i) {
-      for (const Ref& ref : byUser_[i]) {
-        fn(UserId{static_cast<std::uint32_t>(i)}, ref.key);
-      }
+      forEachOf(UserId{static_cast<std::uint32_t>(i)}, fn);
     }
+  }
+
+  // One user's slice of forEach(): their registrations, in the same order.
+  template <typename Fn>
+  void forEachOf(UserId user, Fn&& fn) const {
+    if (user.index() >= byUser_.size()) return;
+    for (const Ref& ref : byUser_[user.index()]) fn(user, ref.key);
   }
 
   // Members of `key` in user-id order — deletion-history-independent, for

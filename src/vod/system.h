@@ -99,7 +99,12 @@ class VodSystem {
 
   // Walks the system's overlay/directory state and appends every structural
   // contract breach to `report` (see vod/audit.h for the severity model).
-  // Driven by fault::InvariantChecker; the default has nothing to check.
+  // Driven by fault::InvariantChecker (full walk) and by
+  // fault::RecoveryManager (focused on one rejoined node). An override must
+  // honour the focus contract in vod/audit.h: a focused walk emits exactly
+  // the full walk's violations that involve the focus, in the same order,
+  // visiting only the focus's own state plus other nodes' lists that name
+  // it. The default has nothing to check.
   virtual void auditInvariants(AuditReport& report) const { (void)report; }
 
  protected:

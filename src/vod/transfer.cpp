@@ -743,8 +743,25 @@ bool TransferManager::loadState(snapshot::Reader& r) {
 // --- invariant audit ----------------------------------------------------------
 
 void TransferManager::auditInvariants(AuditReport& report) const {
+  // Focused audit: another user's watch rules can only name the focus as
+  // the owner of a watch filed under them or as a watch's provider.
+  const auto namesFocus = [&](const std::vector<WatchId>& ids) {
+    for (const WatchId id : ids) {
+      const Watch* watch = watches_.find(id);
+      if (watch == nullptr) continue;
+      if (watch->user == *report.focus() ||
+          watch->provider == *report.focus()) {
+        return true;
+      }
+      for (const Segment& segment : watch->segments) {
+        if (segment.provider == *report.focus()) return true;
+      }
+    }
+    return false;
+  };
   for (std::size_t u = 0; u < userWatches_.size(); ++u) {
     const UserId user{static_cast<std::uint32_t>(u)};
+    if (!report.covers(user) && !namesFocus(userWatches_[u])) continue;
     const bool online = ctx_.isOnline(user);
     for (const WatchId id : userWatches_[u]) {
       const Watch* watch = watches_.find(id);
@@ -753,7 +770,7 @@ void TransferManager::auditInvariants(AuditReport& report) const {
         continue;
       }
       if (watch->user != user) {
-        report.violate("tm.watch_owner", user.value(), watch->user.value());
+        report.violate("tm.watch_owner", user.value(), watch->user);
       }
       if (!online) {
         // onUserOffline erases the departing user's watches synchronously.
@@ -765,14 +782,12 @@ void TransferManager::auditInvariants(AuditReport& report) const {
       // (dropEndpointFlows fails dead sources over synchronously).
       if (watch->flow.valid() && watch->provider.valid() &&
           !ctx_.isOnline(watch->provider)) {
-        report.violate("tm.dead_provider", user.value(),
-                       watch->provider.value());
+        report.violate("tm.dead_provider", user.value(), watch->provider);
       }
       for (const Segment& segment : watch->segments) {
         if (segment.flow.valid() && segment.provider.valid() &&
             !ctx_.isOnline(segment.provider)) {
-          report.violate("tm.dead_provider", user.value(),
-                         segment.provider.value());
+          report.violate("tm.dead_provider", user.value(), segment.provider);
         }
       }
     }
@@ -800,9 +815,10 @@ void TransferManager::auditInvariants(AuditReport& report) const {
   }
 }
 
-void TransferManager::injectWatchForTest(UserId user, VideoId video) {
+void TransferManager::injectWatchForTest(UserId user, VideoId video,
+                                         UserId owner) {
   Watch watch;
-  watch.user = user;
+  watch.user = owner.valid() ? owner : user;
   watch.video = video;
   const WatchId id = watches_.insert(std::move(watch));
   userWatches_[user.index()].push_back(id);

@@ -137,8 +137,10 @@ class TransferManager : public sim::EventFactory, public net::FlowObserver {
   // Test-only corruption hook: registers a bare watch record for `user`
   // (no flows, no timeout) — the dangling-watch damage a lifecycle bug
   // would leave behind after a crash. The invariant checker must flag it
-  // when the user is offline.
-  void injectWatchForTest(UserId user, VideoId video);
+  // when the user is offline. A valid `owner` other than `user` files a
+  // watch owned by someone else under `user` (the tm.watch_owner breach).
+  void injectWatchForTest(UserId user, VideoId video,
+                          UserId owner = UserId::invalid());
 
   // Checkpoint/restore: the watch arena (whole slot pool, so outstanding
   // WatchIds stay stable), per-user watch lists, flow-to-watch maps,
